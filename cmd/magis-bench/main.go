@@ -70,8 +70,7 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken at exit to this path")
 
-		strictHash = flag.Bool("strict-hash", false, "disable incremental WL hashing in every search (escape hatch; the two paths are bit-identical)")
-		memBudg    = flag.String("mem-budget", "", "soft live-memory budget per search (e.g. 512MiB); over budget a search sheds state and settles best-so-far instead of OOMing (empty = off)")
+		memBudg = flag.String("mem-budget", "", "soft live-memory budget per search (e.g. 512MiB); over budget a search sheds state and settles best-so-far instead of OOMing (empty = off)")
 
 		verifySeed = flag.Uint64("verify-seed", 1, "seed for the verify target's numeric inputs")
 		oracleSeqs = flag.Int("oracle-seqs", 100, "randomized rewrite sequences the oracle target compares")
@@ -178,8 +177,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	cfg := expr.Config{Scale: *scale, Budget: *budget, Ctx: ctx, Workers: *workers,
-		StrictHash: *strictHash, MemBudget: memBudget}
+	cfg := expr.Config{Scale: *scale, Budget: *budget, Ctx: ctx, Workers: *workers, MemBudget: memBudget}
 
 	verifyFailed := false
 	for _, t := range targets {

@@ -69,7 +69,6 @@ func main() {
 		level   = flag.Int("L", 4, "F-Tree max level")
 		workers = flag.Int("workers", 0, "parallel candidate evaluations (0 = GOMAXPROCS, 1 = sequential)")
 		iters   = flag.Int("iters", 0, "cap search expansions (0 = budget-bound only; fixed work => deterministic result)")
-		strict  = flag.Bool("strict-hash", false, "disable incremental WL hashing (escape hatch; the two paths are bit-identical)")
 		emit    = flag.String("emit", "", "write a PyTorch script for the optimized graph to this path")
 		load    = flag.String("load", "", "optimize a graph document (graphio format) through the hardened ingest pipeline instead of -model")
 		saveG   = flag.String("save-graph", "", "write the selected workload's graph document to this path and exit (no search)")
@@ -128,13 +127,13 @@ func main() {
 	)
 	start := time.Now()
 	if *resume != "" {
-		info, err := opt.ReadCheckpointInfo(*resume)
+		info, err := opt.ReadCheckpointInfo(nil, *resume)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("resuming %s from %s: %d expansion(s) done, %v already spent\n",
 			info.Label, *resume, info.Iterations, info.Elapsed.Round(time.Millisecond))
-		res, err = opt.Resume(ctx, *resume, m, nil)
+		res, err = opt.Resume(ctx, nil, *resume, m, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -186,7 +185,7 @@ func main() {
 		fmt.Printf("baseline: %s\n", base.Summary())
 
 		o = opt.Options{TimeBudget: *budget, MaxLevel: *level, Workers: *workers,
-			MaxIterations: *iters, StrictHash: *strict, MemBudget: memBudget}
+			MaxIterations: *iters, MemBudget: memBudget}
 		switch *mode {
 		case "mem":
 			o.Mode = opt.MemoryUnderLatency

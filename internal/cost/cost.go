@@ -154,15 +154,3 @@ func (m *Model) GraphComputeLatency(g *graph.Graph) float64 {
 	}
 	return t
 }
-
-// GraphTransferLatency returns the total copy-stream busy time of g.
-func (m *Model) GraphTransferLatency(g *graph.Graph) float64 {
-	var t float64
-	for _, id := range g.NodeIDs() {
-		n := g.Node(id)
-		if ops.IsTransfer(n.Op.Kind()) {
-			t += m.NodeLatency(n)
-		}
-	}
-	return t
-}

@@ -70,9 +70,6 @@ func Build(g *graph.Graph) *DGraph {
 	return d
 }
 
-// Axes returns the axes of v present in D(G).
-func (d *DGraph) Axes(v graph.NodeID) []int { return d.byNode[v] }
-
 // Component is one weakly connected component of D(G): a graph-level
 // dimension.
 type Component map[DimNode]bool

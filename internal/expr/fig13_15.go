@@ -122,7 +122,6 @@ func Fig15(cfg Config, w *models.Workload) Fig15Breakdown {
 		LatencyLimit: base.Latency * 1.10,
 		TimeBudget:   cfg.Budget,
 		Workers:      cfg.Workers,
-		StrictHash:   cfg.StrictHash,
 	})
 	total := time.Since(start)
 	out := Fig15Breakdown{Total: total}

@@ -70,6 +70,14 @@ func Transient(err error) bool {
 		errors.Is(err, syscall.EAGAIN)
 }
 
+// Untrusted reports whether a sealed read failed on the file's content
+// rather than on the read itself: malformed framing or payload, another
+// format version, or a checksum mismatch. Such a file never reads back,
+// so callers quarantine it; any other read failure leaves it in place.
+func Untrusted(err error) bool {
+	return errors.Is(err, ErrMalformed) || errors.Is(err, ErrVersion) || errors.Is(err, ErrChecksum)
+}
+
 // Or returns fsys, defaulting to the real filesystem when nil. Callers
 // thread optional FS config fields through this so "zero value" means
 // "the real OS".

@@ -9,9 +9,9 @@
 // format version, and a SHA-256 digest, so a reader can tell a truncated
 // or bit-flipped file from a healthy one before trusting a single payload
 // byte. Failures are classified with sentinel errors (ErrChecksum,
-// ErrVersion, ErrShortWrite, ErrDiskFull) so callers can route corrupt
-// files to quarantine and full disks to graceful degradation instead of
-// treating every failure alike.
+// ErrVersion, ErrMalformed, ErrShortWrite, ErrDiskFull) so callers can
+// route corrupt files to quarantine and full disks to graceful
+// degradation instead of treating every failure alike.
 package fsatomic
 
 import (
@@ -37,6 +37,9 @@ var (
 	// ErrVersion: a sealed file carries a format version this build does
 	// not read.
 	ErrVersion = errors.New("fsatomic: format version mismatch")
+	// ErrMalformed: a file is not a sealed envelope of the expected kind
+	// (unparsable framing, another magic), or its payload does not decode.
+	ErrMalformed = errors.New("fsatomic: malformed sealed file")
 	// ErrDiskFull: the filesystem is out of space (ENOSPC/EDQUOT). The
 	// target path is untouched; callers can degrade (skip the write, evict,
 	// alert) instead of crashing.
@@ -98,13 +101,13 @@ func seal(magic string, version int, payload []byte) ([]byte, error) {
 func unseal(path, magic string, version int, data []byte) ([]byte, error) {
 	var env sealedEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("fsatomic: %s: not a sealed file: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrMalformed, filepath.Base(path), err)
 	}
 	if env.Magic != magic {
-		return nil, fmt.Errorf("fsatomic: %s: magic %q (want %q)", filepath.Base(path), env.Magic, magic)
+		return nil, fmt.Errorf("%w: %s: magic %q (want %q)", ErrMalformed, filepath.Base(path), env.Magic, magic)
 	}
 	if env.Version != version {
-		return nil, fmt.Errorf("%w: %s: version %d (this build reads %d)", ErrVersion, filepath.Base(path), env.Version, version)
+		return nil, fmt.Errorf("%w: %s: format version %d (this build reads version %d)", ErrVersion, filepath.Base(path), env.Version, version)
 	}
 	sum := sha256.Sum256(env.Payload)
 	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
@@ -121,10 +124,9 @@ func WriteSealed(path, magic string, version int, payload []byte, perm os.FileMo
 }
 
 // ReadSealed reads a file written by WriteSealed and returns its payload
-// after validating the magic, version, and digest. Mismatches return
-// errors matching ErrVersion or ErrChecksum; anything unparsable is a
-// plain error. Callers treat any failure as "this file cannot be
-// trusted" — typically by quarantining it.
+// after validating the magic, version, and digest. Content failures
+// match ErrMalformed, ErrVersion, or ErrChecksum (see Untrusted); a
+// failed read returns the filesystem's error.
 func ReadSealed(path, magic string, version int) ([]byte, error) {
 	return ReadSealedFS(OS, path, magic, version)
 }

@@ -69,8 +69,9 @@ func TestSealedRoundTrip(t *testing.T) {
 }
 
 // TestSealedRejections: every way a sealed file can be untrustworthy is
-// classified — wrong magic, wrong version (ErrVersion), flipped payload
-// byte or truncation (ErrChecksum), and non-JSON garbage.
+// classified as Untrusted — wrong magic (ErrMalformed), wrong version
+// (ErrVersion), flipped payload byte (ErrChecksum), truncation and
+// non-JSON garbage — while a missing file is a read failure.
 func TestSealedRejections(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "entry.plan")
@@ -78,10 +79,10 @@ func TestSealedRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ReadSealed(path, "other-magic", 1); err == nil || errors.Is(err, ErrChecksum) {
-		t.Errorf("wrong magic: err = %v, want plain rejection", err)
+	if _, err := ReadSealed(path, "other-magic", 1); !errors.Is(err, ErrMalformed) || !Untrusted(err) {
+		t.Errorf("wrong magic: err = %v, want ErrMalformed", err)
 	}
-	if _, err := ReadSealed(path, "magis-test", 2); !errors.Is(err, ErrVersion) {
+	if _, err := ReadSealed(path, "magis-test", 2); !errors.Is(err, ErrVersion) || !Untrusted(err) {
 		t.Errorf("wrong version: err = %v, want ErrVersion", err)
 	}
 
@@ -94,7 +95,7 @@ func TestSealedRejections(t *testing.T) {
 	if err := os.WriteFile(bad, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSealed(bad, "magis-test", 1); !errors.Is(err, ErrChecksum) {
+	if _, err := ReadSealed(bad, "magis-test", 1); !errors.Is(err, ErrChecksum) || !Untrusted(err) {
 		t.Errorf("flipped payload byte: err = %v, want ErrChecksum", err)
 	}
 
@@ -103,8 +104,8 @@ func TestSealedRejections(t *testing.T) {
 	if err := os.WriteFile(trunc, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSealed(trunc, "magis-test", 1); err == nil {
-		t.Error("truncated file not rejected")
+	if _, err := ReadSealed(trunc, "magis-test", 1); !Untrusted(err) {
+		t.Errorf("truncated file: err = %v, want untrusted", err)
 	}
 
 	// Garbage.
@@ -112,8 +113,11 @@ func TestSealedRejections(t *testing.T) {
 	if err := os.WriteFile(junk, []byte("\x00\xff not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSealed(junk, "magis-test", 1); err == nil {
-		t.Error("garbage file not rejected")
+	if _, err := ReadSealed(junk, "magis-test", 1); !Untrusted(err) {
+		t.Errorf("garbage file: err = %v, want untrusted", err)
+	}
+	if _, err := ReadSealed(filepath.Join(dir, "missing.plan"), "magis-test", 1); err == nil || Untrusted(err) {
+		t.Errorf("missing file: err = %v, want a read failure, not untrusted", err)
 	}
 }
 

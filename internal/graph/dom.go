@@ -220,12 +220,5 @@ func (t *DomTree) Des(v NodeID) Set {
 	return out
 }
 
-// DesWith returns Des(v) plus v itself: the full sub-tree dominated by v.
-func (t *DomTree) DesWith(v NodeID) Set {
-	s := t.Des(v)
-	s[v] = true
-	return s
-}
-
 // Nodes returns the tree's nodes in reverse postorder of the graph.
 func (t *DomTree) Nodes() []NodeID { return t.order }

@@ -185,16 +185,6 @@ func (g *Graph) NodeIDs() []NodeID {
 	return ids
 }
 
-// EachNodeID calls f for every node ID in ascending order, without
-// allocating — the hot-loop alternative to NodeIDs.
-func (g *Graph) EachNodeID(f func(NodeID)) {
-	for id, n := range g.nodes {
-		if n != nil {
-			f(NodeID(id))
-		}
-	}
-}
-
 // sortIDs sorts a small NodeID slice ascending without reflection.
 func sortIDs(s []NodeID) {
 	if len(s) < 24 {

@@ -1,10 +1,12 @@
-package graphio
+package graphio_test
 
 import (
 	"bytes"
 	"os"
 	"strings"
 	"testing"
+
+	"magis/internal/graphio"
 
 	"magis/internal/cost"
 	"magis/internal/models"
@@ -21,7 +23,7 @@ func TestGoldenFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, order, err := Load(bytes.NewReader(data))
+	g, order, err := load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("golden file no longer loads: %v", err)
 	}
@@ -51,10 +53,10 @@ func TestGoldenFileRoundTrip(t *testing.T) {
 	// And the loaded graph re-saves into something that loads back equal —
 	// the format is stable under a save/load cycle, not just a load.
 	var buf bytes.Buffer
-	if err := Save(&buf, g, order); err != nil {
+	if err := graphio.Save(&buf, g, order); err != nil {
 		t.Fatal(err)
 	}
-	g2, order2, err := Load(&buf)
+	g2, order2, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestGoldenFileRoundTrip(t *testing.T) {
 // TestLoadVersionMismatchIsDescriptive: refusing a file is only useful if
 // the error tells the operator what they have and what the build wants.
 func TestLoadVersionMismatchIsDescriptive(t *testing.T) {
-	_, _, err := Load(strings.NewReader(`{"magic":"magis-graph","version":99,"nodes":[]}`))
+	_, _, err := load(strings.NewReader(`{"magic":"magis-graph","version":99,"nodes":[]}`))
 	if err == nil {
 		t.Fatal("future version accepted")
 	}
@@ -76,7 +78,7 @@ func TestLoadVersionMismatchIsDescriptive(t *testing.T) {
 		}
 	}
 
-	_, _, err = Load(strings.NewReader(`{"magic":"magis-sched","version":1,"nodes":[]}`))
+	_, _, err = load(strings.NewReader(`{"magic":"magis-sched","version":1,"nodes":[]}`))
 	if err == nil {
 		t.Fatal("wrong magic accepted")
 	}

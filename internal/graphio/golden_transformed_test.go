@@ -1,10 +1,12 @@
-package graphio
+package graphio_test
 
 import (
 	"bytes"
 	"flag"
 	"os"
 	"testing"
+
+	"magis/internal/graphio"
 
 	"magis/internal/baselines"
 	"magis/internal/graph"
@@ -54,7 +56,7 @@ func TestTransformedGoldenRoundTrip(t *testing.T) {
 	split, want, order := buildTransformed(t)
 	if *updateTransformed {
 		var buf bytes.Buffer
-		if err := Save(&buf, want, order); err != nil {
+		if err := graphio.Save(&buf, want, order); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(transformedGoldenPath, buf.Bytes(), 0o644); err != nil {
@@ -66,7 +68,7 @@ func TestTransformedGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, gorder, err := Load(bytes.NewReader(data))
+	g, gorder, err := load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("transformed golden file no longer loads: %v", err)
 	}
@@ -114,17 +116,17 @@ func TestTransformedGoldenRoundTrip(t *testing.T) {
 	// Serialization must preserve numerics exactly. Node IDs inside the
 	// transformed graph are not reproducible run-to-run (clone order
 	// is), so this check runs on an in-process save/load cycle, where a
-	// positional correspondence holds by construction: Load compacts
+	// positional correspondence holds by construction: Decode compacts
 	// node IDs densely in file order, and Save writes nodes in
 	// want.Topo() order, so want.Topo()[i] is the i-th ascending ID of
 	// the reloaded graph. Seed the reloaded graph's leaves with the
 	// generator's buffers through that correspondence and demand
 	// bitwise-equal values at every node.
 	var cycle bytes.Buffer
-	if err := Save(&cycle, want, order); err != nil {
+	if err := graphio.Save(&cycle, want, order); err != nil {
 		t.Fatal(err)
 	}
-	rg, rorder, err := Load(&cycle)
+	rg, rorder, err := load(&cycle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +166,10 @@ func TestTransformedGoldenRoundTrip(t *testing.T) {
 
 	// Format stability of the committed golden under a save/load cycle.
 	var buf bytes.Buffer
-	if err := Save(&buf, g, gorder); err != nil {
+	if err := graphio.Save(&buf, g, gorder); err != nil {
 		t.Fatal(err)
 	}
-	g2, order2, err := Load(&buf)
+	g2, order2, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,10 @@
 //
 // Two encodings live here:
 //
-//   - Save/Load, the portable interchange format: node IDs are compacted
-//     on load, suitable for handing graphs between tools.
+//   - Save and the File envelope, the portable interchange format,
+//     suitable for handing graphs between tools. Its one decoder is
+//     ingest.Decode, which validates untrusted documents and compacts
+//     node IDs densely in file order.
 //   - Record/GraphRecord.Restore, the snapshot encoding used by search
 //     checkpoints (internal/opt): node IDs and the fresh-ID counter are
 //     preserved exactly, so a restored graph behaves bit-identically to
@@ -21,26 +23,27 @@ import (
 	"magis/internal/graph"
 	"magis/internal/ops"
 	"magis/internal/sched"
-	"magis/internal/tensor"
 )
 
 // Magic identifies a graphio file; files written before the header was
-// introduced carry an empty magic and remain loadable.
+// introduced carry an empty magic and remain decodable.
 const Magic = "magis-graph"
 
-// FormatVersion is the on-disk format version Save writes and Load
-// accepts. Bump it on any incompatible change to the envelope below.
+// FormatVersion is the on-disk format version Save writes and decoders
+// accept. Bump it on any incompatible change to the envelope below.
 const FormatVersion = 1
 
-// fileFormat is the on-disk envelope.
-type fileFormat struct {
+// File is the on-disk envelope of the interchange format.
+type File struct {
 	Magic    string         `json:"magic,omitempty"`
 	Version  int            `json:"version"`
-	Nodes    []nodeFormat   `json:"nodes"`
+	Nodes    []Node         `json:"nodes"`
 	Schedule []graph.NodeID `json:"schedule,omitempty"`
 }
 
-type nodeFormat struct {
+// Node is one node of a File or GraphRecord: its operator payload and
+// the IDs of its producers, which precede it in the node list.
+type Node struct {
 	ID   graph.NodeID   `json:"id"`
 	Name string         `json:"name,omitempty"`
 	Op   ops.Raw        `json:"op"`
@@ -49,7 +52,7 @@ type nodeFormat struct {
 
 // Save writes g (and an optional schedule; pass nil for none) as JSON.
 func Save(w io.Writer, g *graph.Graph, order sched.Schedule) error {
-	f := fileFormat{Magic: Magic, Version: FormatVersion, Schedule: order}
+	f := File{Magic: Magic, Version: FormatVersion, Schedule: order}
 	nodes, err := encodeNodes(g)
 	if err != nil {
 		return err
@@ -60,104 +63,6 @@ func Save(w io.Writer, g *graph.Graph, order sched.Schedule) error {
 	return enc.Encode(f)
 }
 
-// Load reads a graph (and schedule, possibly nil) written by Save.
-// Node IDs are compacted: the loaded graph allocates them densely in file
-// order. Schedules are remapped accordingly.
-func Load(r io.Reader) (*graph.Graph, sched.Schedule, error) {
-	var f fileFormat
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, nil, fmt.Errorf("graphio: %w", err)
-	}
-	if err := checkHeader(f.Magic, f.Version); err != nil {
-		return nil, nil, err
-	}
-	g := graph.New()
-	remap := make(map[graph.NodeID]graph.NodeID, len(f.Nodes))
-	for pos, n := range f.Nodes {
-		if _, dup := remap[n.ID]; dup {
-			return nil, nil, fmt.Errorf("graphio: node %d (file index %d): duplicate node id", n.ID, pos)
-		}
-		if err := checkRawOp(pos, n); err != nil {
-			return nil, nil, err
-		}
-		ins := make([]graph.NodeID, len(n.Ins))
-		for i, in := range n.Ins {
-			m, ok := remap[in]
-			if !ok {
-				return nil, nil, fmt.Errorf("graphio: node %d (file index %d) references undeclared input %d", n.ID, pos, in)
-			}
-			ins[i] = m
-		}
-		remap[n.ID] = g.AddNamed(n.Name, ops.FromRaw(n.Op), ins...)
-	}
-	var order sched.Schedule
-	for _, v := range f.Schedule {
-		m, ok := remap[v]
-		if !ok {
-			return nil, nil, fmt.Errorf("graphio: schedule references unknown node %d", v)
-		}
-		order = append(order, m)
-	}
-	if order != nil {
-		if err := order.Validate(g); err != nil {
-			return nil, nil, fmt.Errorf("graphio: %w", err)
-		}
-	}
-	return g, order, nil
-}
-
-// checkRawOp validates one decoded node's operator payload before it is
-// handed to ops.FromRaw. Load feeds the optimizer data it did not build
-// itself, and the optimizer's own accessors assume well-formed metadata
-// (DType.Size panics on unknown values, Shape.Elems multiplies without
-// overflow checks) — so every assumption is re-checked here with an error
-// naming the node and its position in the file.
-func checkRawOp(pos int, n nodeFormat) error {
-	at := func(format string, args ...any) error {
-		return fmt.Errorf("graphio: node %d (file index %d): %s", n.ID, pos, fmt.Sprintf(format, args...))
-	}
-	if !n.Op.DType.Valid() {
-		return at("unknown dtype %d", n.Op.DType)
-	}
-	check := func(what string, s tensor.Shape) error {
-		for d, ext := range s {
-			if ext < 1 {
-				return at("%s dimension %d has extent %d, want >= 1", what, d+1, ext)
-			}
-		}
-		if _, ok := tensor.BytesChecked(s, n.Op.DType); !ok {
-			return at("%s shape %v overflows the byte accounting", what, s)
-		}
-		return nil
-	}
-	if err := check("output", n.Op.Out); err != nil {
-		return err
-	}
-	for i, in := range n.Op.Ins {
-		if err := check(fmt.Sprintf("input %d", i), in); err != nil {
-			return err
-		}
-	}
-	for _, ext := range n.Op.Reduce {
-		if ext < 1 {
-			return at("reduce axis has extent %d, want >= 1", ext)
-		}
-	}
-	return nil
-}
-
-// checkHeader validates the magic/version pair with errors that name both
-// what was found and what this build supports.
-func checkHeader(magic string, version int) error {
-	if magic != "" && magic != Magic {
-		return fmt.Errorf("graphio: not a graph file: magic %q (want %q)", magic, Magic)
-	}
-	if version != FormatVersion {
-		return fmt.Errorf("graphio: unsupported format version %d (this build reads version %d); re-save the graph with a matching build", version, FormatVersion)
-	}
-	return nil
-}
-
 // GraphRecord is the snapshot encoding of one graph: node IDs and the
 // fresh-ID counter are preserved exactly. It marshals to/from JSON and is
 // embedded inside search checkpoints.
@@ -166,7 +71,7 @@ type GraphRecord struct {
 	// allocated in the lineage, including removed nodes).
 	Next graph.NodeID `json:"next"`
 	// Nodes lists the live nodes in topological order.
-	Nodes []nodeFormat `json:"nodes"`
+	Nodes []Node `json:"nodes"`
 }
 
 // Record captures g as an ID-exact snapshot. Every payload must be an
@@ -197,15 +102,15 @@ func (r *GraphRecord) Restore() (*graph.Graph, error) {
 // encodeNodes serializes the node table in topological order so every
 // node's inputs are declared before it (rewrites can produce IDs out of
 // topological order, so ascending-ID order would not suffice).
-func encodeNodes(g *graph.Graph) ([]nodeFormat, error) {
-	var out []nodeFormat
+func encodeNodes(g *graph.Graph) ([]Node, error) {
+	var out []Node
 	for _, v := range g.Topo() {
 		n := g.Node(v)
 		spec, ok := n.Op.(*ops.Spec)
 		if !ok {
 			return nil, fmt.Errorf("graphio: node %d has non-serializable payload %q", v, n.Op.Kind())
 		}
-		out = append(out, nodeFormat{
+		out = append(out, Node{
 			ID:   v,
 			Name: n.Name,
 			Op:   spec.Marshal(),

@@ -1,14 +1,24 @@
-package graphio
+package graphio_test
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"magis/internal/cost"
+	"magis/internal/graph"
+	"magis/internal/graphio"
+	"magis/internal/ingest"
 	"magis/internal/models"
 	"magis/internal/sched"
 )
+
+// load decodes a document through the format's one decoder,
+// ingest.Decode, under its default limits.
+func load(r io.Reader) (*graph.Graph, sched.Schedule, error) {
+	return ingest.Decode(r, ingest.Limits{})
+}
 
 func TestRoundTripPreservesStructureAndCosts(t *testing.T) {
 	w := models.MLP(64, 32, 64, 10, 2)
@@ -16,10 +26,10 @@ func TestRoundTripPreservesStructureAndCosts(t *testing.T) {
 	order := sc.ScheduleGraph(w.G)
 
 	var buf bytes.Buffer
-	if err := Save(&buf, w.G, order); err != nil {
+	if err := graphio.Save(&buf, w.G, order); err != nil {
 		t.Fatal(err)
 	}
-	g2, order2, err := Load(&buf)
+	g2, order2, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +59,10 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 	m := cost.NewModel(cost.RTX3090())
 	for _, w := range models.SmallSuite() {
 		var buf bytes.Buffer
-		if err := Save(&buf, w.G, nil); err != nil {
+		if err := graphio.Save(&buf, w.G, nil); err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		g2, _, err := Load(&buf)
+		g2, _, err := load(&buf)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -67,13 +77,13 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, _, err := Load(strings.NewReader("not json")); err == nil {
+	if _, _, err := load(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, _, err := Load(strings.NewReader(`{"version": 2}`)); err == nil {
+	if _, _, err := load(strings.NewReader(`{"version": 2}`)); err == nil {
 		t.Error("future version accepted")
 	}
-	if _, _, err := Load(strings.NewReader(
+	if _, _, err := load(strings.NewReader(
 		`{"version":1,"nodes":[{"id":0,"op":{"kind":"ReLU","out":[4],"dtype":0},"ins":[7]}]}`)); err == nil {
 		t.Error("dangling input reference accepted")
 	}

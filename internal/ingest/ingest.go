@@ -13,9 +13,9 @@
 //     IDs, unregistered operator kinds, dtype allowlist, dimension and
 //     rank sanity, overflow-checked shape-product byte bounds, and
 //     dimension-link ranges. Accepted documents are canonicalized into a
-//     graph.Graph with densely compacted IDs (bit-identical to
-//     graphio.Load on the same bytes, pinned by test) and re-checked
-//     against the full graph.Validate invariants.
+//     graph.Graph with densely compacted IDs and re-checked against the
+//     full graph.Validate invariants. Decode is the one decoder of the
+//     format: the CLI and the service both load graphs through it.
 //
 //   - Preflight: a search-cost classification that rejects "search
 //     bombs" — graphs whose shape would make even a single optimizer
@@ -213,24 +213,6 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// fileDoc mirrors the graphio interchange envelope exactly (same fields,
-// same JSON tags) so strict decoding sees the same wire format Load
-// does. The bit-identity test in this package pins the two against each
-// other: any drift between this mirror and graphio's envelope fails CI.
-type fileDoc struct {
-	Magic    string         `json:"magic,omitempty"`
-	Version  int            `json:"version"`
-	Nodes    []nodeDoc      `json:"nodes"`
-	Schedule []graph.NodeID `json:"schedule,omitempty"`
-}
-
-type nodeDoc struct {
-	ID   graph.NodeID   `json:"id"`
-	Name string         `json:"name,omitempty"`
-	Op   ops.Raw        `json:"op"`
-	Ins  []graph.NodeID `json:"ins,omitempty"`
-}
-
 // reject builds a node-positioned rejection.
 func reject(reason Reason, pos int, id graph.NodeID, format string, args ...any) error {
 	return &Error{Reason: reason, Index: pos, ID: id, Detail: fmt.Sprintf(format, args...)}
@@ -243,8 +225,7 @@ func rejectDoc(reason Reason, format string, args ...any) error {
 
 // Decode reads one untrusted graph document, validates it against lim,
 // and returns the canonicalized graph (IDs compacted densely in file
-// order, exactly as graphio.Load allocates them) plus the optional
-// schedule. Every rejection is an *Error.
+// order) plus the optional schedule. Every rejection is an *Error.
 func Decode(r io.Reader, lim Limits) (*graph.Graph, sched.Schedule, error) {
 	lim = lim.withDefaults()
 	raw, err := readBounded(r, lim.MaxBytes)
@@ -253,7 +234,7 @@ func Decode(r io.Reader, lim Limits) (*graph.Graph, sched.Schedule, error) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	var f fileDoc
+	var f graphio.File
 	if err := dec.Decode(&f); err != nil {
 		return nil, nil, decodeError(err)
 	}
@@ -360,7 +341,7 @@ func decodeError(err error) error {
 // checkOp validates one node's operator payload against every local
 // assumption the optimizer makes, returning the node's output footprint
 // for the cumulative byte budget.
-func checkOp(pos int, n nodeDoc, lim Limits) (int64, error) {
+func checkOp(pos int, n graphio.Node, lim Limits) (int64, error) {
 	op := n.Op
 	if !ops.IsRegistered(op.Kind) {
 		return 0, reject(ReasonUnknownOp, pos, n.ID, "unregistered operator kind %q", op.Kind)

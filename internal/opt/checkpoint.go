@@ -3,12 +3,10 @@ package opt
 import (
 	"container/heap"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -70,9 +68,8 @@ type Checkpoint struct {
 	// CLI stores its workload/mode flags here).
 	Label string
 	// FS is the filesystem snapshots are written through; nil means the
-	// real OS. It is runtime wiring, not run state — resuming a checkpoint
-	// does not restore it, so Resume callers re-inject their FS via the
-	// options override.
+	// real OS. It is runtime wiring, not run state: Resume takes it as an
+	// argument, reads the snapshot through it, and keeps writing there.
 	FS fsatomic.FS
 }
 
@@ -82,8 +79,6 @@ type CheckpointStatus struct {
 	Path string
 	// Writes counts successful snapshot flushes.
 	Writes int
-	// LastBytes is the size of the last flushed snapshot.
-	LastBytes int
 	// Err records the first encode or write failure. Checkpointing
 	// degrades to best-effort on failure; the search itself continues.
 	Err string
@@ -148,17 +143,11 @@ func (c *checkpointer) final(l *searchLoop, tainted bool) {
 }
 
 func (c *checkpointer) flush() {
-	env, err := sealSnapshot(c.last)
-	if err != nil {
-		c.fail(err)
-		return
-	}
-	if err := fsatomic.WriteFileFS(c.cfg.FS, c.cfg.Path, env, 0o644); err != nil {
+	if err := fsatomic.WriteSealedFS(c.cfg.FS, c.cfg.Path, checkpointMagic, CheckpointVersion, c.last, 0o644); err != nil {
 		c.fail(err)
 		return
 	}
 	c.status.Writes++
-	c.status.LastBytes = len(env)
 	c.sinceWrite = 0
 	c.lastWrite = time.Now()
 }
@@ -169,44 +158,21 @@ func (c *checkpointer) fail(err error) {
 	}
 }
 
-// envelope is the checkpoint file framing: a version header plus a SHA-256
-// digest of the payload bytes, verified before any payload field is
-// trusted.
-type envelope struct {
-	Magic   string          `json:"magic"`
-	Version int             `json:"version"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// sealSnapshot frames a payload with its checksum.
-func sealSnapshot(payload []byte) ([]byte, error) {
-	sum := sha256.Sum256(payload)
-	return json.Marshal(envelope{
-		Magic:   checkpointMagic,
-		Version: CheckpointVersion,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
-}
-
-// openSnapshot validates the envelope and returns the payload bytes.
-func openSnapshot(data []byte) ([]byte, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("opt: checkpoint: %w", err)
+// readSnapshot reads the sealed checkpoint at path through fsys and
+// decodes its payload into snap. Content failures (see fsatomic.Untrusted)
+// mean the file will never resume; other errors are read failures.
+func readSnapshot(fsys fsatomic.FS, path string, snap any) error {
+	payload, err := fsatomic.ReadSealedFS(fsys, path, checkpointMagic, CheckpointVersion)
+	if errors.Is(err, fsatomic.ErrMalformed) {
+		return fmt.Errorf("opt: checkpoint: not a checkpoint file: %w", err)
 	}
-	if env.Magic != checkpointMagic {
-		return nil, fmt.Errorf("opt: checkpoint: not a checkpoint file (magic %q)", env.Magic)
+	if err != nil {
+		return fmt.Errorf("opt: checkpoint: %w", err)
 	}
-	if env.Version != CheckpointVersion {
-		return nil, fmt.Errorf("opt: checkpoint: format version %d (this build reads version %d)", env.Version, CheckpointVersion)
+	if err := json.Unmarshal(payload, snap); err != nil {
+		return fmt.Errorf("opt: checkpoint: %w: payload: %w", fsatomic.ErrMalformed, err)
 	}
-	sum := sha256.Sum256(env.Payload)
-	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
-		return nil, fmt.Errorf("opt: checkpoint: checksum mismatch (file %s, payload %s): truncated or corrupted snapshot", env.SHA256, got)
-	}
-	return env.Payload, nil
+	return nil
 }
 
 // snapshot is the checkpoint payload.
@@ -252,7 +218,6 @@ type optionsRec struct {
 	NaiveFission     bool     `json:"naive_fission,omitempty"`
 	NaiveSchedRules  bool     `json:"naive_sched_rules,omitempty"`
 	FullReschedule   bool     `json:"full_reschedule,omitempty"`
-	StrictHash       bool     `json:"strict_hash,omitempty"`
 	DisableFission   bool     `json:"disable_fission,omitempty"`
 	Rules            []string `json:"rules"`
 	CkEveryN         int      `json:"ck_every_n,omitempty"`
@@ -322,7 +287,6 @@ func recordOptions(o *Options) optionsRec {
 		NaiveFission:     o.NaiveFission,
 		NaiveSchedRules:  o.NaiveSchedRules,
 		FullReschedule:   o.FullReschedule,
-		StrictHash:       o.StrictHash,
 		DisableFission:   o.DisableFission,
 		Rules:            names,
 		CkEveryN:         o.Checkpoint.EveryN,
@@ -361,7 +325,6 @@ func (r optionsRec) restore() (Options, error) {
 		NaiveFission:    r.NaiveFission,
 		NaiveSchedRules: r.NaiveSchedRules,
 		FullReschedule:  r.FullReschedule,
-		StrictHash:      r.StrictHash,
 		DisableFission:  r.DisableFission,
 		Rules:           rs,
 		Checkpoint: Checkpoint{
@@ -552,34 +515,28 @@ func encodeSnapshot(l *searchLoop) ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// Resume continues a checkpointed search from path. The snapshot's options
-// (including the checkpoint configuration, re-pointed at path) are
-// restored; override, when non-nil, may adjust them before the run — e.g.
-// a service re-attaching its OnExpansion watchdog hook, or a test raising
+// Resume continues a checkpointed search from path, read through fsys
+// (nil means the real OS). The snapshot's options (including the
+// checkpoint configuration, re-pointed at path and fsys) are restored;
+// override, when non-nil, may adjust them before the run — e.g. a service
+// re-attaching its OnExpansion watchdog hook, or a test raising
 // MaxIterations. The search continues under the remaining TimeBudget:
 // total budget minus the wall-clock already consumed before the snapshot.
 //
 // Because the search is deterministic and snapshots are taken at expansion
 // boundaries, run-kill-resume produces the same best graph, schedule, and
 // cost as an uninterrupted run (wall-clock-derived fields aside).
-func Resume(ctx context.Context, path string, model *cost.Model, override func(*Options)) (*Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("opt: checkpoint: %w", err)
-	}
-	payload, err := openSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
+func Resume(ctx context.Context, fsys fsatomic.FS, path string, model *cost.Model, override func(*Options)) (*Result, error) {
 	var snap snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return nil, fmt.Errorf("opt: checkpoint: %w", err)
+	if err := readSnapshot(fsys, path, &snap); err != nil {
+		return nil, err
 	}
 	o, err := snap.Options.restore()
 	if err != nil {
 		return nil, err
 	}
 	o.Checkpoint.Path = path
+	o.Checkpoint.FS = fsys
 	if override != nil {
 		override(&o)
 	}
@@ -596,7 +553,7 @@ func Resume(ctx context.Context, path string, model *cost.Model, override func(*
 	}); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInitialEval, err)
 	}
-	pool := newEvalPool(o.Workers, model, o.FullReschedule, o.StrictHash, &res.Stats)
+	pool := newEvalPool(o.Workers, model, o.FullReschedule, o.strictHash, &res.Stats)
 	ev := pool.primary()
 	res.Stats = snap.Stats
 	for _, h := range snap.History {
@@ -687,17 +644,10 @@ type CheckpointInfo struct {
 	Mode    Mode
 }
 
-// ReadCheckpointInfo validates a checkpoint file's envelope and returns
-// its headline metadata without restoring any search state.
-func ReadCheckpointInfo(path string) (*CheckpointInfo, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("opt: checkpoint: %w", err)
-	}
-	payload, err := openSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
+// ReadCheckpointInfo validates a checkpoint file's envelope, read through
+// fsys (nil means the real OS), and returns its headline metadata without
+// restoring any search state.
+func ReadCheckpointInfo(fsys fsatomic.FS, path string) (*CheckpointInfo, error) {
 	var snap struct {
 		Label     string     `json:"label"`
 		ElapsedNs int64      `json:"elapsed_ns"`
@@ -709,8 +659,8 @@ func ReadCheckpointInfo(path string) (*CheckpointInfo, error) {
 		BestPeakMem     int64             `json:"best_peak_mem"`
 		BestLatencyBits uint64            `json:"best_latency_bits"`
 	}
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return nil, fmt.Errorf("opt: checkpoint: %w", err)
+	if err := readSnapshot(fsys, path, &snap); err != nil {
+		return nil, err
 	}
 	return &CheckpointInfo{
 		Label:       snap.Label,

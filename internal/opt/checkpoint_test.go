@@ -88,7 +88,7 @@ func TestCheckpointKillResumeDeterminism(t *testing.T) {
 				t.Fatalf("checkpoint error: %s", half.Checkpoint.Err)
 			}
 
-			res, err := Resume(context.Background(), path, model(), func(o *Options) {
+			res, err := Resume(context.Background(), nil, path, model(), func(o *Options) {
 				o.MaxIterations = fullIter
 			})
 			if err != nil {
@@ -146,7 +146,7 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 		t.Fatalf("cancelled run stopped %v, want cancelled", half.Stopped)
 	}
 
-	res, err := Resume(context.Background(), path, model(), nil)
+	res, err := Resume(context.Background(), nil, path, model(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestReadCheckpointInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := ReadCheckpointInfo(path)
+	info, err := ReadCheckpointInfo(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(corrupted, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(context.Background(), corrupted, model(), nil); err == nil {
+	if _, err := Resume(context.Background(), nil, corrupted, model(), nil); err == nil {
 		t.Error("corrupted payload resumed without error")
 	} else if want := "checksum mismatch"; !strings.Contains(err.Error(), want) {
 		t.Errorf("corrupted payload error %q, want substring %q", err, want)
@@ -237,7 +237,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	wrongVersion := mutate("version.ckpt", func(env map[string]json.RawMessage) {
 		env["version"] = json.RawMessage("999")
 	})
-	if _, err := Resume(context.Background(), wrongVersion, model(), nil); err == nil {
+	if _, err := Resume(context.Background(), nil, wrongVersion, model(), nil); err == nil {
 		t.Error("wrong version resumed without error")
 	} else if want := "format version 999"; !strings.Contains(err.Error(), want) {
 		t.Errorf("version error %q, want substring %q", err, want)
@@ -246,13 +246,13 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	wrongMagic := mutate("magic.ckpt", func(env map[string]json.RawMessage) {
 		env["magic"] = json.RawMessage(`"not-a-checkpoint"`)
 	})
-	if _, err := Resume(context.Background(), wrongMagic, model(), nil); err == nil {
+	if _, err := Resume(context.Background(), nil, wrongMagic, model(), nil); err == nil {
 		t.Error("wrong magic resumed without error")
 	} else if want := "not a checkpoint file"; !strings.Contains(err.Error(), want) {
 		t.Errorf("magic error %q, want substring %q", err, want)
 	}
 
-	if _, err := Resume(context.Background(), filepath.Join(dir, "absent.ckpt"), model(), nil); err == nil {
+	if _, err := Resume(context.Background(), nil, filepath.Join(dir, "absent.ckpt"), model(), nil); err == nil {
 		t.Error("missing file resumed without error")
 	}
 }

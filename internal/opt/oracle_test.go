@@ -77,7 +77,7 @@ func TestStrictHashSearchEquivalence(t *testing.T) {
 			MaxIterations:   12,
 			Workers:         1,
 			CheckInvariants: true,
-			StrictHash:      strict,
+			strictHash:      strict,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -52,9 +52,6 @@ func (r *RegionOp) ExecTransientBytes() int64 { return r.transient }
 // Latency is the end-to-end time of all n sequential parts plus merges.
 func (r *RegionOp) Latency() float64 { return r.lat }
 
-// Parts returns the fission number.
-func (r *RegionOp) Parts() int { return r.n }
-
 // collapser builds evaluation graphs. ss points at the owning evaluator's
 // lifetime scratch (nil falls back to allocating per call), so region
 // accounting shares the evaluator's buffers.

@@ -61,6 +61,10 @@ type Options struct {
 	MemBudget int64
 	// memUsed overrides the governor's live-memory sampler (tests only).
 	memUsed func() uint64
+	// strictHash hashes every candidate from scratch instead of splicing
+	// into the parent's label snapshot (tests only: the reference side of
+	// the incremental-hash equivalence test; the two are bit-identical).
+	strictHash bool
 	// Delta is the relaxed-push coefficient (default 1.1).
 	Delta float64
 	// CheckInvariants runs graph.Validate on every candidate that passes
@@ -81,13 +85,6 @@ type Options struct {
 	// counts (only the time-stamped fields and the duplicated-work
 	// portions of Stats vary).
 	Workers int
-	// StrictHash disables incremental WL hashing: every candidate is hashed
-	// from scratch instead of splicing into the parent's label snapshot.
-	// The two paths are bit-identical by construction (the splice re-labels
-	// any node it cannot prove clean); this is the escape hatch for ruling
-	// the incremental path out while debugging, and the reference side of
-	// the differential oracle.
-	StrictHash bool
 	// Ablation switches (§7.2.5).
 	NaiveFission    bool
 	NaiveSchedRules bool
@@ -325,7 +322,7 @@ func OptimizeSeeded(ctx context.Context, g *graph.Graph, model *cost.Model, o Op
 	}); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInitialEval, err)
 	}
-	pool := newEvalPool(o.Workers, model, o.FullReschedule, o.StrictHash, &res.Stats)
+	pool := newEvalPool(o.Workers, model, o.FullReschedule, o.strictHash, &res.Stats)
 	ev := pool.primary()
 	ftOpts := ftree.Options{
 		MaxLevel:      o.MaxLevel,

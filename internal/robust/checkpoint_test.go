@@ -134,7 +134,7 @@ func TestManifestReplayFreezesReconstruction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := opt.ReadCheckpointInfo(path)
+	info, err := opt.ReadCheckpointInfo(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ package robust
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"magis/internal/baselines"
@@ -230,7 +229,7 @@ func Reoptimize(ctx context.Context, g *graph.Graph, model *cost.Model, o Option
 					// Earliest successful rung = graceful-degradation
 					// fallback.
 					if !restored {
-						if or, err := frozenResume(ctx, rungCheckpointPath(o.CheckpointDir, a.Rung), model); err == nil {
+						if or, err := frozenResume(ctx, o.FS, rungCheckpointPath(o.CheckpointDir, a.Rung), model); err == nil {
 							res.Best, res.Opt = or.Best, or
 						}
 						restored = true
@@ -240,7 +239,7 @@ func Reoptimize(ctx context.Context, g *graph.Graph, model *cost.Model, o Option
 				// A recorded feasible attempt means the prior incarnation
 				// finished the ladder: reconstruct its outcome instead of
 				// escalating past the surviving rung.
-				or, err := frozenResume(ctx, rungCheckpointPath(o.CheckpointDir, a.Rung), model)
+				or, err := frozenResume(ctx, o.FS, rungCheckpointPath(o.CheckpointDir, a.Rung), model)
 				if err != nil && a.Rung == RungAsIs && o.Initial != nil {
 					or, err = o.Initial, nil // as-is ran off Initial, no snapshot
 				}
@@ -342,8 +341,8 @@ func verifyAttempt(input *graph.Graph, st *opt.State, seed uint64) *verify.Repor
 // searching under the leftover budget and could silently swap in a plan
 // the recorded audit never saw; shrinking the budget to a nanosecond makes
 // the resume exit at the loop gate with exactly the snapshot's best.
-func frozenResume(ctx context.Context, path string, model *cost.Model) (*opt.Result, error) {
-	return opt.Resume(ctx, path, model, func(o *opt.Options) { o.TimeBudget = time.Nanosecond })
+func frozenResume(ctx context.Context, fsys fsatomic.FS, path string, model *cost.Model) (*opt.Result, error) {
+	return opt.Resume(ctx, fsys, path, model, func(o *opt.Options) { o.TimeBudget = time.Nanosecond })
 }
 
 // persistLadder records the completed attempts in the manifest. A write
@@ -396,8 +395,8 @@ func runRung(ctx context.Context, g *graph.Graph, model *cost.Model, o Options, 
 	}
 	if o.CheckpointDir != "" {
 		path := rungCheckpointPath(o.CheckpointDir, rung)
-		if _, err := os.Stat(path); err == nil {
-			return opt.Resume(ctx, path, model, nil)
+		if _, err := fsatomic.Or(o.FS).Stat(path); err == nil {
+			return opt.Resume(ctx, o.FS, path, model, nil)
 		}
 		oo.Checkpoint = opt.Checkpoint{
 			Path:     path,

@@ -113,11 +113,6 @@ func All() []Rule {
 	}
 }
 
-// SchedulingRules returns only the §5.2 scheduling-based rules.
-func SchedulingRules() []Rule {
-	return []Rule{RematRule{}, RematChainRule{}, DeRematRule{}, SwapRule{}, DeSwapRule{}}
-}
-
 // rematerializable reports whether v's operator may be recomputed.
 func rematerializable(g *graph.Graph, v graph.NodeID) bool {
 	n := g.Node(v)

@@ -334,7 +334,7 @@ func (s *Server) flushQueue() {
 // in-flight probe still owns. Safe to call repeatedly.
 func (s *Server) abandonProbe(j *job) {
 	if j.probe {
-		s.brk.onAbandon(breakerKey(j.workloadName(), j.req.Scale, j.req.Mode))
+		s.brk.abandon(breakerKey(j.workloadName(), j.req.Scale, j.req.Mode))
 	}
 }
 
@@ -424,10 +424,10 @@ func (s *Server) finishJob(j *job, res *opt.Result, err error) {
 			// failure streak. No verdict either way — just release the
 			// half-open slot if this job was the probe.
 			s.abandonProbe(j)
-		} else if s.brk.onFailure(bkey, time.Now()) {
+		} else if s.brk.fail(bkey, time.Now()) || j.probe {
 			// Genuine search/verify failures count regardless of what
 			// happens next: a workload that only ever limps home on a
-			// fallback tier must still trip.
+			// fallback tier must still trip. A failed probe re-opens.
 			s.met.BreakerTrips.Add(1)
 			s.cfg.Logf("serve: breaker opened for %s", bkey)
 		}
@@ -468,7 +468,7 @@ func (s *Server) finishJob(j *job, res *opt.Result, err error) {
 	default:
 		if any := s.degradedFallback(j, res, nil); any != nil {
 			s.settleDegraded(j, res, any)
-			s.brk.onSuccess(bkey)
+			s.brk.succeed(bkey, j.probe)
 			s.releaseCost(j)
 			s.removeCheckpoint(j)
 			s.cfg.Logf("serve: %s done (degraded: %s)", j.id, any.Tier)
@@ -493,7 +493,7 @@ func (s *Server) finishJob(j *job, res *opt.Result, err error) {
 		}
 		j.mu.Unlock()
 		s.met.Completed.Add(1)
-		s.brk.onSuccess(bkey)
+		s.brk.succeed(bkey, j.probe)
 		s.releaseCost(j)
 		s.removeCheckpoint(j)
 		s.cfg.Logf("serve: %s done", j.id)
@@ -582,11 +582,8 @@ func (s *Server) searchJob(ctx context.Context, j *job) (*opt.Result, error) {
 		s.met.Expansions.Add(1)
 	}
 	if path := j.resumeFrom(); path != "" {
-		res, err := opt.Resume(ctx, path, s.cfg.Model, func(o *opt.Options) {
+		res, err := opt.Resume(ctx, s.fsys, path, s.cfg.Model, func(o *opt.Options) {
 			o.OnExpansion = onExp
-			// Checkpoint.FS is runtime wiring, not snapshot state: a
-			// resumed run writes through the server's filesystem again.
-			o.Checkpoint.FS = s.cfg.FS
 		})
 		if err == nil && j.req.Verify {
 			// A snapshot carries no input graph; verification degrades to
@@ -779,9 +776,11 @@ func (s *Server) gcCheckpoints(names []string) []string {
 }
 
 // recoverCheckpoints re-admits jobs a previous incarnation left
-// checkpointed (drained or crashed mid-search). Unreadable snapshots are
-// quarantined — moved aside with a log line, never deleted — so recovery
-// proceeds with the healthy ones and the operator decides the rest.
+// checkpointed (drained or crashed mid-search). Snapshots whose content
+// cannot be trusted are quarantined — moved aside with a log line, never
+// deleted — so recovery proceeds with the healthy ones and the operator
+// decides the rest; a snapshot that merely failed to read (a transient
+// fault) counts as a storage fault and stays for the next restart.
 // Before any re-admission, recovery sweeps write debris (orphaned temp
 // files from a crash mid-write) and garbage-collects orphans past the
 // age/count retention bounds, so a crash-looping deployment cannot grow
@@ -817,9 +816,15 @@ func (s *Server) recoverCheckpoints() int {
 	for _, name := range names {
 		id := strings.TrimSuffix(name, ".ckpt")
 		path := filepath.Join(s.cfg.CheckpointDir, name)
-		info, err := opt.ReadCheckpointInfo(path)
-		if err != nil {
+		info, err := opt.ReadCheckpointInfo(s.fsys, path)
+		if fsatomic.Untrusted(err) {
 			s.quarantineCheckpoint(name, err)
+			continue
+		}
+		if err != nil {
+			// A read fault, not a bad file: leave the snapshot for the
+			// next restart.
+			s.noteStorageFault("checkpoint read", err)
 			continue
 		}
 		s.mu.Lock()

@@ -285,11 +285,12 @@ type Server struct {
 	// (milliseconds of predicted service time) held by jobs admitted but
 	// not yet settled.
 	costInUse atomic.Int64
-	// brk isolates repeatedly failing workloads (per model|scale|mode).
-	brk *breaker
-	// storage is the persistence health state machine; fsys is the
-	// filesystem all serve-owned persistence goes through.
-	storage *storageHealth
+	// brk isolates repeatedly failing workloads: one gate per
+	// model|scale|mode key.
+	brk *gates
+	// storage is the persistence health gate, the single key ""; fsys is
+	// the filesystem all serve-owned persistence goes through.
+	storage *gates
 	fsys    fsatomic.FS
 	// wlStats memoizes per-(model, scale) workload facts for admission
 	// estimates.
@@ -319,8 +320,8 @@ func New(cfg Config) *Server {
 	s.queue = newJobQueue(s.cfg.QueueDepth, s.cfg.ClientQueue)
 	s.clients = newClientLedger(s.cfg)
 	s.stop = make(chan struct{})
-	s.brk = newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooloff)
-	s.storage = newStorageHealth(s.cfg.StorageThreshold, s.cfg.StorageCooloff)
+	s.brk = newGates(s.cfg.BreakerThreshold, s.cfg.BreakerCooloff)
+	s.storage = newGates(s.cfg.StorageThreshold, s.cfg.StorageCooloff)
 	s.fsys = fsatomic.Or(s.cfg.FS)
 	s.runSearch = s.searchJob
 	return s
@@ -621,10 +622,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		wlname = graphWorkloadName(g.g)
 	}
 	bkey := breakerKey(wlname, req.Scale, req.Mode)
-	after, open, probe := s.brk.blocked(bkey, time.Now())
-	if open {
+	retry, ok, probe := s.brk.allow(bkey, time.Now())
+	if !ok {
 		s.met.RejectedBreaker.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(after))
+		w.Header().Set("Retry-After", fmt.Sprint(int(retry/time.Second)+1))
 		httpReject(w, http.StatusServiceUnavailable, "breaker",
 			"workload %s is circuit-broken after repeated failures: retry later", bkey)
 		return
@@ -772,7 +773,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cost_in_use_ms": s.costInUse.Load(),
 		"cost_budget_ms": costUnits(s.cfg.AdmitBudget),
 		"breaker_open":   s.brk.openCount(),
-		"storage":        s.storage.current(),
+		"storage":        storageState(s.storage),
 	})
 }
 
@@ -806,7 +807,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"cost_in_use_ms":    s.costInUse.Load(),
 		"cost_budget_ms":    costUnits(s.cfg.AdmitBudget),
 		// Storage-robustness and memory-governor counters.
-		"storage_state":           s.storage.current(),
+		"storage_state":           storageState(s.storage),
 		"storage_faults":          s.met.StorageFaults.Load(),
 		"storage_degraded_jobs":   s.met.StorageDegradedJobs.Load(),
 		"storage_recoveries":      s.met.StorageRecoveries.Load(),

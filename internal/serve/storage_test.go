@@ -10,74 +10,75 @@ import (
 	"time"
 
 	"magis/internal/errfs"
+	"magis/internal/models"
 	"magis/internal/opt"
 )
 
-// TestStorageHealthMachine pins the state machine itself: degrade at the
+// TestStorageHealthMachine pins the storage gate: degrade at the
 // threshold, refuse during the window, grant exactly one probe after the
 // cooloff, re-degrade on a failed probe, recover on a good one.
 func TestStorageHealthMachine(t *testing.T) {
 	now := time.Now()
-	h := newStorageHealth(2, time.Minute)
-	if h.current() != storageHealthy {
-		t.Fatalf("initial state %q", h.current())
+	h := newGates(2, time.Minute)
+	if storageState(h) != storageHealthy {
+		t.Fatalf("initial state %q", storageState(h))
 	}
-	if ok, _ := h.allow(now); !ok {
+	if _, ok, _ := h.allow("", now); !ok {
 		t.Fatal("healthy machine refused persistence")
 	}
-	if h.onFault(now) {
+	if h.fail("", now) {
 		t.Fatal("degraded below threshold")
 	}
-	if !h.onFault(now) {
+	if !h.fail("", now) {
 		t.Fatal("did not degrade at threshold")
 	}
-	if h.current() != storageDegraded {
-		t.Fatalf("state %q after threshold faults", h.current())
+	if storageState(h) != storageDegraded {
+		t.Fatalf("state %q after threshold faults", storageState(h))
 	}
 	// Inside the window: no persistence, no probe.
-	if ok, probe := h.allow(now.Add(30 * time.Second)); ok || probe {
+	if _, ok, probe := h.allow("", now.Add(30*time.Second)); ok || probe {
 		t.Fatalf("allow inside window = %v/%v", ok, probe)
 	}
 	// Past the window: exactly one probe.
 	late := now.Add(2 * time.Minute)
-	if ok, probe := h.allow(late); !ok || !probe {
+	if _, ok, probe := h.allow("", late); !ok || !probe {
 		t.Fatalf("first allow past window = %v/%v, want probe", ok, probe)
 	}
-	if ok, _ := h.allow(late); ok {
+	if _, ok, _ := h.allow("", late); ok {
 		t.Fatal("second caller got persistence while the probe is out")
 	}
 	// Failed probe: straight back into a fresh window.
-	if h.onFault(late) {
+	if h.fail("", late) {
 		t.Fatal("probe failure is a window restart, not a new degradation")
 	}
-	if ok, _ := h.allow(late.Add(30 * time.Second)); ok {
+	if _, ok, _ := h.allow("", late.Add(30*time.Second)); ok {
 		t.Fatal("window did not restart after failed probe")
 	}
 	// Abandoned probe frees the slot for the next caller.
 	later := late.Add(3 * time.Minute)
-	if ok, probe := h.allow(later); !ok || !probe {
+	if _, ok, probe := h.allow("", later); !ok || !probe {
 		t.Fatalf("probe not re-granted after restart: %v/%v", ok, probe)
 	}
-	h.onAbandon()
-	if ok, probe := h.allow(later); !ok || !probe {
+	h.abandon("")
+	if _, ok, probe := h.allow("", later); !ok || !probe {
 		t.Fatalf("abandoned probe slot not released: %v/%v", ok, probe)
 	}
 	// Successful probe recovers.
-	if !h.onOK() {
+	if !h.succeed("", true) {
 		t.Fatal("successful probe did not report recovery")
 	}
-	if h.current() != storageRecovered {
-		t.Fatalf("state %q after recovery", h.current())
+	if storageState(h) != storageRecovered {
+		t.Fatalf("state %q after recovery", storageState(h))
 	}
-	if ok, probe := h.allow(later); !ok || probe {
+	if _, ok, probe := h.allow("", later); !ok || probe {
 		t.Fatalf("recovered allow = %v/%v", ok, probe)
 	}
 	// Disabled machine never interferes.
-	off := newStorageHealth(-1, time.Minute)
+	off := newGates(-1, time.Minute)
 	for i := 0; i < 10; i++ {
-		off.onFault(now)
+		off.fail("", now)
 	}
-	if ok, _ := off.allow(now); !ok {
+	if _, ok, _ := off.allow("", now); !ok {
 		t.Fatal("disabled machine degraded")
 	}
 }
@@ -216,7 +217,7 @@ func TestStorageRecoversViaProbe(t *testing.T) {
 
 	runOne() // fault 1
 	runOne() // fault 2 -> degraded
-	if got := s.storage.current(); got != storageDegraded {
+	if got := storageState(s.storage); got != storageDegraded {
 		t.Fatalf("storage state %q after two faults", got)
 	}
 	time.Sleep(60 * time.Millisecond) // let the cooloff expire
@@ -300,6 +301,44 @@ func TestCheckpointGCOnRestart(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "quarantine", name)); err != nil {
 			t.Errorf("%s not quarantined: %v", name, err)
 		}
+	}
+}
+
+// TestCheckpointReadFaultIsNotQuarantined: restart recovery reads
+// checkpoints through the server's filesystem and quarantines only files
+// whose content cannot be trusted. A transient read fault counts one
+// storage fault and leaves the snapshot in place for the next restart.
+func TestCheckpointReadFaultIsNotQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job-1.ckpt")
+	w := models.MLP(8, 4, 8, 4, 1)
+	if _, err := opt.Optimize(w.G, testModel(), opt.Options{
+		MaxIterations: 1, Workers: 1, TimeBudget: -1,
+		Checkpoint: opt.Checkpoint{Path: path, Label: "mlp"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fsys := errfs.New(nil, 0, errfs.Rule{Class: errfs.FDExhaust, After: 1, Count: 1})
+	cfg := Config{Model: testModel(), QueueDepth: 4, CheckpointDir: dir, FS: fsys, StallWindow: -1, Logf: t.Logf}
+	s := New(cfg)
+	if n := s.recoverCheckpoints(); n != 0 {
+		t.Fatalf("recovered %d jobs through a failed read, want 0", n)
+	}
+	if got := fsys.Injected()[errfs.FDExhaust]; got != 1 {
+		t.Fatalf("injected read faults = %d, want 1 (recovery bypassed the server's FS)", got)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("checkpoint left the directory after a transient read fault: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", "job-1.ckpt")); !os.IsNotExist(err) {
+		t.Error("transient read fault quarantined a healthy checkpoint")
+	}
+	if q, f := s.met.CkptQuarantined.Load(), s.met.StorageFaults.Load(); q != 0 || f != 1 {
+		t.Errorf("ckpt_quarantined=%d storage_faults=%d, want 0/1", q, f)
+	}
+	// The fault has cleared: the next incarnation recovers the job.
+	if n := New(cfg).recoverCheckpoints(); n != 1 {
+		t.Errorf("next restart recovered %d jobs, want 1", n)
 	}
 }
 

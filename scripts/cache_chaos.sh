@@ -15,67 +15,13 @@
 #                 the damage, the service re-searches and self-heals
 #   5. hard kill  SIGKILL mid-search; a restarted server stays healthy and
 #                 its cache still serves
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-command -v jq >/dev/null || { echo "SKIP: jq not installed" >&2; exit 0; }
-
-PORT="${PORT:-$((18000 + RANDOM % 2000))}"
-BASE="http://127.0.0.1:$PORT"
-dir="$(mktemp -d)"
+PORT_BASE=18000
+. "$(dirname "$0")/chaos_lib.sh"
 CKDIR="$dir/ckpt"
 CACHEDIR="$dir/plans"
-SRV=""
-cleanup() {
-    [ -n "$SRV" ] && kill -9 "$SRV" 2>/dev/null || true
-    rm -rf "$dir"
-}
-trap cleanup EXIT
+SERVE_FLAGS=(-jobs 1 -checkpoint-dir "$CKDIR" -cache-dir "$CACHEDIR" -stall-window=-1s)
 
 go build -o "$dir/magis-serve" ./cmd/magis-serve
-
-start_server() {
-    "$dir/magis-serve" -addr "127.0.0.1:$PORT" -jobs 1 \
-        -checkpoint-dir "$CKDIR" -cache-dir "$CACHEDIR" \
-        -stall-window=-1s >> "$dir/serve.log" 2>&1 &
-    SRV=$!
-    for _ in $(seq 1 100); do
-        curl -fsS "$BASE/healthz" >/dev/null 2>&1 && return 0
-        sleep 0.1
-    done
-    echo "FAIL: server did not come up (log tail follows)" >&2
-    tail -20 "$dir/serve.log" >&2
-    exit 1
-}
-
-stop_server() {
-    kill -TERM "$SRV" 2>/dev/null || true
-    wait "$SRV" 2>/dev/null || true
-    SRV=""
-}
-
-submit() { # json body -> job id
-    curl -fsS -X POST -d "$1" "$BASE/optimize" | jq -r .id
-}
-
-wait_done() { # job id -> prints the result object
-    local id="$1" state
-    for _ in $(seq 1 1200); do
-        state="$(curl -fsS "$BASE/jobs/$id" | jq -r .state)"
-        case "$state" in
-            done) curl -fsS "$BASE/jobs/$id" | jq -c .result; return 0 ;;
-            failed|cancelled)
-                echo "FAIL: job $id settled $state" >&2
-                curl -fsS "$BASE/jobs/$id" >&2
-                return 1 ;;
-        esac
-        sleep 0.1
-    done
-    echo "FAIL: timed out waiting for job $id" >&2
-    return 1
-}
-
-metric() { curl -fsS "$BASE/metrics" | jq "$1"; }
 
 JOB_A='{"model":"mlp","scale":0.01,"budget":"120s","iterations":12,"workers":1}'
 JOB_B='{"model":"mlp","scale":0.02,"budget":"120s","iterations":12,"workers":1}'
@@ -136,7 +82,7 @@ echo "== phase 5: SIGKILL mid-search, restart stays healthy"
 big='{"model":"mlp","scale":0.05,"budget":"120s","iterations":5000,"workers":1}'
 submit "$big" >/dev/null
 sleep 1
-kill -9 "$SRV"; wait "$SRV" 2>/dev/null || true; SRV=""
+kill_server
 start_server
 curl -fsS "$BASE/healthz" | jq -e '.status == "ok"' >/dev/null || { echo "FAIL: unhealthy after hard kill" >&2; exit 1; }
 hit="$(wait_done "$(submit "$JOB_A")")"

@@ -20,48 +20,22 @@
 #   2. curl edge   direct boundary checks: -max-body enforces 413 with a
 #                  machine-readable reason, a typo'd field is named in
 #                  the 400, and per-client counters appear in /metrics
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-command -v jq >/dev/null || { echo "SKIP: jq not installed" >&2; exit 0; }
-
-PORT="${PORT:-$((22000 + RANDOM % 2000))}"
-BASE="http://127.0.0.1:$PORT"
+PORT_BASE=22000
+. "$(dirname "$0")/chaos_lib.sh"
 FLOOD="${FLOOD:-200}"
 GOOD="${GOOD:-8}"
-dir="$(mktemp -d)"
-SRV=""
-cleanup() {
-    [ -n "$SRV" ] && kill -9 "$SRV" 2>/dev/null || true
-    rm -rf "$dir"
-}
-trap cleanup EXIT
+# Tight limits: small bodies, per-client rate/share/queue fairness, and
+# aggressive socket deadlines so the slow-loris phase bites quickly.
+SERVE_FLAGS=(-queue 16 -jobs 2
+    -budget 5s -stall-window 30s
+    -max-body 1MiB
+    -read-header-timeout 2s -read-timeout 10s -write-timeout 30s -idle-timeout 30s
+    -client-rate 20 -client-burst 10 -client-share 0.5 -client-queue 8)
 
 BUILDFLAGS=()
 [ "${RACE:-0}" = "1" ] && BUILDFLAGS+=(-race)
 go build "${BUILDFLAGS[@]}" -o "$dir/magis-serve" ./cmd/magis-serve
 go build "${BUILDFLAGS[@]}" -o "$dir/magis-bench" ./cmd/magis-bench
-
-# Tight limits: small bodies, per-client rate/share/queue fairness, and
-# aggressive socket deadlines so the slow-loris phase bites quickly.
-start_server() {
-    "$dir/magis-serve" -addr "127.0.0.1:$PORT" -queue 16 -jobs 2 \
-        -budget 5s -stall-window 30s \
-        -max-body 1MiB \
-        -read-header-timeout 2s -read-timeout 10s -write-timeout 30s -idle-timeout 30s \
-        -client-rate 20 -client-burst 10 -client-share 0.5 -client-queue 8 \
-        >> "$dir/serve.log" 2>&1 &
-    SRV=$!
-    for _ in $(seq 1 100); do
-        curl -fsS "$BASE/healthz" >/dev/null 2>&1 && return 0
-        sleep 0.1
-    done
-    echo "FAIL: server did not come up (log tail follows)" >&2
-    tail -20 "$dir/serve.log" >&2
-    exit 1
-}
-
-metric() { curl -fsS "$BASE/metrics" | jq "$1"; }
 
 echo "== phase 1: adversarial harness (flood $FLOOD vs $GOOD good requests)"
 start_server
@@ -95,8 +69,6 @@ jq -e '.clients | has("bully") and has("good")' <(curl -fsS "$BASE/metrics") >/d
 [ "$(metric .rejected_client_rate)" -ge 1 ] \
     || { echo "FAIL: rejected_client_rate not counted (flood never throttled?)" >&2; exit 1; }
 
-kill -TERM "$SRV" 2>/dev/null || true
-wait "$SRV" 2>/dev/null || true
-SRV=""
+stop_server
 
 echo "OK: hostile traffic held all invariants (corpus, slow-loris, flood fairness, boundaries)"

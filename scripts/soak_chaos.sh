@@ -18,48 +18,23 @@
 #   2. hard kill   SIGKILL mid-search; the restarted server recovers the
 #                  checkpointed job, the books balance again, and a
 #                  cached request still hits
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-command -v jq >/dev/null || { echo "SKIP: jq not installed" >&2; exit 0; }
-
-PORT="${PORT:-$((20000 + RANDOM % 2000))}"
-BASE="http://127.0.0.1:$PORT"
+PORT_BASE=20000
+. "$(dirname "$0")/chaos_lib.sh"
 SOAK_JOBS="${SOAK_JOBS:-60}"
 SOAK_SEED="${SOAK_SEED:-1}"
 POISON="vit"
-dir="$(mktemp -d)"
 CKDIR="$dir/ckpt"
 CACHEDIR="$dir/plans"
-SRV=""
-cleanup() {
-    [ -n "$SRV" ] && kill -9 "$SRV" 2>/dev/null || true
-    rm -rf "$dir"
-}
-trap cleanup EXIT
+SERVE_FLAGS=(-queue 8 -jobs 2
+    -checkpoint-dir "$CKDIR" -cache-dir "$CACHEDIR"
+    -checkpoint-every 5 -budget 5s -stall-window 30s
+    -breaker-threshold 2 -breaker-cooloff 500ms
+    -chaos-poison-model "$POISON")
 
 BUILDFLAGS=()
 [ "${RACE:-0}" = "1" ] && BUILDFLAGS+=(-race)
 go build "${BUILDFLAGS[@]}" -o "$dir/magis-serve" ./cmd/magis-serve
 go build "${BUILDFLAGS[@]}" -o "$dir/magis-bench" ./cmd/magis-bench
-
-start_server() {
-    "$dir/magis-serve" -addr "127.0.0.1:$PORT" -queue 8 -jobs 2 \
-        -checkpoint-dir "$CKDIR" -cache-dir "$CACHEDIR" \
-        -checkpoint-every 5 -budget 5s -stall-window 30s \
-        -breaker-threshold 2 -breaker-cooloff 500ms \
-        -chaos-poison-model "$POISON" >> "$dir/serve.log" 2>&1 &
-    SRV=$!
-    for _ in $(seq 1 100); do
-        curl -fsS "$BASE/healthz" >/dev/null 2>&1 && return 0
-        sleep 0.1
-    done
-    echo "FAIL: server did not come up (log tail follows)" >&2
-    tail -20 "$dir/serve.log" >&2
-    exit 1
-}
-
-metric() { curl -fsS "$BASE/metrics" | jq "$1"; }
 
 echo "== phase 1: mixed-traffic soak ($SOAK_JOBS submissions, seed $SOAK_SEED, poison $POISON)"
 start_server
@@ -68,14 +43,14 @@ start_server
 
 echo "== phase 2: SIGKILL mid-search, restart recovers and stays consistent"
 long='{"model":"mlp","scale":0.05,"budget":"120s","iterations":5000,"workers":1}'
-id="$(curl -fsS -X POST -d "$long" "$BASE/optimize" | jq -r .id)"
+id="$(submit "$long")"
 # SIGKILL only once the job's checkpoint is actually on disk.
 for _ in $(seq 1 200); do
     [ -s "$CKDIR/$id.ckpt" ] && break
     sleep 0.1
 done
 [ -s "$CKDIR/$id.ckpt" ] || { echo "FAIL: job $id never checkpointed" >&2; exit 1; }
-kill -9 "$SRV"; wait "$SRV" 2>/dev/null || true; SRV=""
+kill_server
 start_server
 curl -fsS "$BASE/healthz" | jq -e '.status == "ok"' >/dev/null \
     || { echo "FAIL: unhealthy after hard kill" >&2; exit 1; }
@@ -99,7 +74,7 @@ jq -e '.admitted == (.completed + .failed + .cancelled + .shed_expired + .shed_e
 
 # Cached plans still serve after the crash.
 warm='{"model":"mlp","scale":0.01,"budget":"5s","iterations":10,"workers":1}'
-wid="$(curl -fsS -X POST -d "$warm" "$BASE/optimize" | jq -r .id)"
+wid="$(submit "$warm")"
 for _ in $(seq 1 300); do
     state="$(curl -fsS "$BASE/jobs/$wid" | jq -r .state)"
     [ "$state" = "done" ] && break
@@ -109,8 +84,6 @@ for _ in $(seq 1 300); do
 done
 [ "$state" = "done" ] || { echo "FAIL: post-restart job never finished" >&2; exit 1; }
 
-kill -TERM "$SRV" 2>/dev/null || true
-wait "$SRV" 2>/dev/null || true
-SRV=""
+stop_server
 
 echo "OK: soak held all invariants through overload, poison, and SIGKILL"

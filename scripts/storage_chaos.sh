@@ -19,66 +19,14 @@
 #                    gracefully with reason mem-budget, best-so-far kept
 #   4. bit-identity  an idle governor (huge budget) changes nothing:
 #                    byte-identical results vs the governor-off run
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-command -v jq >/dev/null || { echo "SKIP: jq not installed" >&2; exit 0; }
-
-PORT="${PORT:-$((19000 + RANDOM % 2000))}"
-BASE="http://127.0.0.1:$PORT"
-dir="$(mktemp -d)"
+PORT_BASE=19000
+. "$(dirname "$0")/chaos_lib.sh"
 CKDIR="$dir/ckpt"
 CACHEDIR="$dir/plans"
-SRV=""
-cleanup() {
-    [ -n "$SRV" ] && kill -9 "$SRV" 2>/dev/null || true
-    rm -rf "$dir"
-}
-trap cleanup EXIT
+SERVE_FLAGS=(-jobs 1 -checkpoint-dir "$CKDIR" -checkpoint-every 1 -cache-dir "$CACHEDIR" -stall-window=-1s)
 
 go build -o "$dir/magis-serve" ./cmd/magis-serve
 go build -o "$dir/magis" ./cmd/magis
-
-start_server() { # [extra flags...]
-    "$dir/magis-serve" -addr "127.0.0.1:$PORT" -jobs 1 \
-        -checkpoint-dir "$CKDIR" -checkpoint-every 1 -cache-dir "$CACHEDIR" \
-        -stall-window=-1s "$@" >> "$dir/serve.log" 2>&1 &
-    SRV=$!
-    for _ in $(seq 1 100); do
-        curl -fsS "$BASE/healthz" >/dev/null 2>&1 && return 0
-        sleep 0.1
-    done
-    echo "FAIL: server did not come up (log tail follows)" >&2
-    tail -20 "$dir/serve.log" >&2
-    exit 1
-}
-
-stop_server() {
-    kill -TERM "$SRV" 2>/dev/null || true
-    wait "$SRV" 2>/dev/null || true
-    SRV=""
-}
-
-submit() { # json body -> job id
-    curl -fsS -X POST -d "$1" "$BASE/optimize" | jq -r .id
-}
-
-wait_done() { # job id -> prints the full job object
-    local id="$1" state
-    for _ in $(seq 1 1200); do
-        state="$(curl -fsS "$BASE/jobs/$id" | jq -r .state)"
-        case "$state" in
-            done) curl -fsS "$BASE/jobs/$id"; return 0 ;;
-            failed|cancelled|shed)
-                echo "FAIL: job $id settled $state" >&2
-                curl -fsS "$BASE/jobs/$id" >&2
-                return 1 ;;
-        esac
-        sleep 0.1
-    done
-    echo "FAIL: timed out waiting for job $id" >&2
-    return 1
-}
 
 wait_storage() { # expected storage state
     local want="$1" got=""
@@ -91,7 +39,6 @@ wait_storage() { # expected storage state
     return 1
 }
 
-metric() { curl -fsS "$BASE/metrics" | jq "$1"; }
 
 no_debris() { # no orphaned temp files may survive anywhere we persist
     local leaked
@@ -117,9 +64,9 @@ for spec in enospc@1+1 shortwrite@1+1 syncfail@1+1 renamefail@1+1 fdexhaust@1+1;
     # Subsequent jobs are served degraded: real result, labeled, and no
     # persistence touched.
     job="$(wait_done "$(submit "$JOB")")"
-    [ "$(jq -r .result.degraded_storage <<<"$job")" = "true" ] \
+    [ "$(jq -r .degraded_storage <<<"$job")" = "true" ] \
         || { echo "FAIL($spec): degraded job not labeled degraded_storage" >&2; exit 1; }
-    [ "$(jq -r .result.peak_mem_bytes <<<"$job")" -gt 0 ] \
+    [ "$(jq -r .peak_mem_bytes <<<"$job")" -gt 0 ] \
         || { echo "FAIL($spec): degraded job returned no result" >&2; jq . <<<"$job" >&2; exit 1; }
     [ "$(metric .storage_state)" = '"degraded"' ] || { echo "FAIL($spec): metrics not degraded" >&2; exit 1; }
     [ "$(metric .storage_faults)" -ge 1 ] || { echo "FAIL($spec): no storage faults counted" >&2; exit 1; }
@@ -136,7 +83,7 @@ wait_done "$(submit "$JOB")" > /dev/null
 wait_storage degraded
 submit '{"model":"mlp","scale":0.05,"budget":"120s","iterations":5000,"workers":1}' >/dev/null
 sleep 1
-kill -9 "$SRV"; wait "$SRV" 2>/dev/null || true; SRV=""
+kill_server
 no_debris
 # The "disk" is healthy again: the restarted server must come back clean,
 # serve with healthy storage, and persist plans once more.
@@ -144,7 +91,7 @@ start_server
 curl -fsS "$BASE/healthz" | jq -e '.status == "ok" and .storage == "healthy"' >/dev/null \
     || { echo "FAIL: restart after ENOSPC kill is not healthy" >&2; exit 1; }
 job="$(wait_done "$(submit "$JOB")")"
-[ "$(jq -r .result.degraded_storage <<<"$job")" = "null" ] \
+[ "$(jq -r .degraded_storage <<<"$job")" = "null" ] \
     || { echo "FAIL: healthy restart still labels jobs degraded" >&2; exit 1; }
 [ "$(metric .cache.entries)" -ge 1 ] || { echo "FAIL: healthy restart does not cache plans" >&2; exit 1; }
 no_debris
