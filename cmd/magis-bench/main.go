@@ -12,15 +12,10 @@
 // candidate evaluation (0 = GOMAXPROCS); profiles are written on exit and
 // inspected with `go tool pprof`.
 //
-// The audit target (also reachable via the -audit flag) is the
-// execution-feasibility harness: each workload's plan is cross-validated
+// The audit target is the execution-feasibility harness: each workload's plan is cross-validated
 // by the differential audit, replayed under -faults seeded fault scenarios
 // (-fault-seed), and — when infeasible — repaired through the adaptive
 // re-optimization ladder with a -headroom budget margin.
-//
-// The cache target benchmarks the persistent plan cache life cycle on the
-// same miniature suite: cold search, verification-gated admission, exact
-// hit, and a warm-started search seeded from the cached plan.
 //
 // The verify target numerically verifies a miniature version of each
 // evaluation workload: its graph is optimized, executed against the
@@ -93,7 +88,6 @@ func main() {
 		hostileSettle = flag.Duration("hostile-settle", 2*time.Minute, "hostile target: how long to wait for jobs to settle")
 		hostileLoris  = flag.Bool("hostile-loris", true, "hostile target: run the slow-loris phase (server must enforce read timeouts)")
 
-		auditFlag = flag.Bool("audit", false, "run the execution-feasibility audit target after the others")
 		faultsN   = flag.Int("faults", 0, "fault scenarios per workload in the audit target (0 = audit only)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
 		headroom  = flag.Float64("headroom", 0.10, "budget margin the re-optimization ladder reserves, in (0,0.9]")
@@ -114,22 +108,19 @@ func main() {
 	known := map[string]bool{
 		"table2": true, "fig9": true, "fig10": true, "fig11": true,
 		"fig12": true, "fig13": true, "fig14": true, "fig15": true, "fig16": true,
-		"audit": true, "verify": true, "cache": true, "oracle": true, "soak": true,
+		"audit": true, "verify": true, "oracle": true, "soak": true,
 		"hostile": true,
 	}
 	targets := flag.Args()
-	if len(targets) == 0 && !*auditFlag {
+	if len(targets) == 0 {
 		targets = []string{"table2"}
 	}
 	if len(targets) == 1 && targets[0] == "all" {
 		targets = []string{"table2", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"}
 	}
-	if *auditFlag {
-		targets = append(targets, "audit")
-	}
 	for _, t := range targets {
 		if !known[t] {
-			fmt.Fprintf(os.Stderr, "unknown target %q (want table2, fig9..fig16, audit, verify, cache, oracle, soak, hostile, or all)\n", t)
+			fmt.Fprintf(os.Stderr, "unknown target %q (want table2, fig9..fig16, audit, verify, oracle, soak, hostile, or all)\n", t)
 			os.Exit(2)
 		}
 	}
@@ -211,8 +202,6 @@ func main() {
 			if !runVerify(ctx, cfg, *verifySeed, *mutate) {
 				verifyFailed = true
 			}
-		case "cache":
-			runCacheBench(ctx, cfg)
 		case "oracle":
 			if !runOracle(*oracleSeqs, *oracleSeed) {
 				verifyFailed = true

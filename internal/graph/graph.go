@@ -64,9 +64,9 @@ func (n *Node) OutBytes() int64 {
 // indexed directly by NodeID (nil / empty for absent IDs); IDs therefore
 // stay small because they are allocated sequentially along a lineage.
 type Graph struct {
-	nodes []*Node     // nodes[id] == nil means id is absent
-	suc   [][]NodeID  // consumer lists (with multiplicity)
-	n     int         // live node count
+	nodes []*Node    // nodes[id] == nil means id is absent
+	suc   [][]NodeID // consumer lists (with multiplicity)
+	n     int        // live node count
 	next  NodeID
 
 	// Clone arenas, retained so CloneInto can recycle their capacity when
@@ -579,13 +579,5 @@ func removeOne(s []NodeID, v NodeID) []NodeID {
 			return append(s[:i], s[i+1:]...)
 		}
 	}
-	return s
-}
-
-func insertSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
 	return s
 }

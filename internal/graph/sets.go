@@ -261,7 +261,7 @@ func (g *Graph) Subgraph(s Set) *Graph {
 	}
 	for id, c := range cnt {
 		if c > 0 {
-			sub.suc[id] = ids[off:off:off+int(c)]
+			sub.suc[id] = ids[off : off : off+int(c)]
 			off += int(c)
 		}
 	}

@@ -53,13 +53,8 @@ func (s *Server) workloadStats(name string, scale float64) (*wlStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := opt.Baseline(w.G, s.cfg.Model)
-	st = &wlStats{
-		nodes:   w.G.Len(),
-		wl:      w.G.WLHash(),
-		topo:    plancache.TopoHash(w.G),
-		baseMem: base.PeakMem,
-		baseLat: base.Latency,
+	if st, err = s.graphStats(w.G); err != nil {
+		return nil, err
 	}
 	s.wlMu.Lock()
 	s.wlStats[key] = st
@@ -67,11 +62,12 @@ func (s *Server) workloadStats(name string, scale float64) (*wlStats, error) {
 	return st, nil
 }
 
-// graphStats prices a direct graph submission. Deliberately NOT memoized:
-// the cache key would be client-controlled graph content, and an attacker
-// rotating graphs would grow the map without bound. The baseline
-// evaluation runs under opt.Guard so a graph that slips past ingestion
-// and still panics the evaluator fails its own request, not the server.
+// graphStats measures one graph. For direct graph submissions it is
+// deliberately NOT memoized: the cache key would be client-controlled
+// graph content, and an attacker rotating graphs would grow the map
+// without bound. The baseline evaluation runs under opt.Guard so a graph
+// that slips past ingestion and still panics the evaluator fails its own
+// request, not the server.
 func (s *Server) graphStats(g *graph.Graph) (*wlStats, error) {
 	var st *wlStats
 	err := opt.Guard("serve", "graph-stats", func() error {
@@ -181,12 +177,11 @@ func costUnits(d time.Duration) int64 {
 }
 
 // costTotals is the post-reservation snapshot holdCost returns: the
-// global total in use plus the holding client's own totals, so admission
-// can check both budgets from one reservation.
+// global total in use plus the holding client's own, so admission can
+// check both budgets from one reservation.
 type costTotals struct {
 	total      int64 // global cost units in use
 	clientHeld int64 // this client's cost units in use
-	clientJobs int   // this client's unsettled jobs
 }
 
 // holdCost reserves a job's estimated cost against the admission budget
@@ -201,12 +196,8 @@ func (s *Server) holdCost(j *job) costTotals {
 	defer j.mu.Unlock()
 	if !j.costHeld {
 		j.costHeld = true
-		held, jobs := s.clients.hold(j.client, j.estUnits, time.Now())
-		return costTotals{
-			total:      s.costInUse.Add(j.estUnits),
-			clientHeld: held,
-			clientJobs: jobs,
-		}
+		held := s.clients.hold(j.client, j.estUnits, time.Now())
+		return costTotals{total: s.costInUse.Add(j.estUnits), clientHeld: held}
 	}
 	return costTotals{total: s.costInUse.Load()}
 }
@@ -219,18 +210,6 @@ func (s *Server) releaseCost(j *job) {
 		s.clients.release(j.client, j.estUnits)
 	}
 	j.mu.Unlock()
-}
-
-// admitClass bumps the per-class admission counter.
-func (s *Server) admitClass(class plancache.Class) {
-	switch class {
-	case plancache.ClassHit:
-		s.met.AdmittedHit.Add(1)
-	case plancache.ClassWarm:
-		s.met.AdmittedWarm.Add(1)
-	default:
-		s.met.AdmittedCold.Add(1)
-	}
 }
 
 // retryAfter estimates when capacity frees up: the queued work divided
@@ -260,44 +239,6 @@ func doomed(j *job, now time.Time) bool {
 	return now.Add(j.minServe).After(j.deadline)
 }
 
-// shedKind labels why a queued job was shed.
-type shedKind int
-
-const (
-	shedExpired shedKind = iota // deadline unmeetable, drained from the queue
-	shedEvicted                 // evicted to make room for more urgent work
-)
-
-// shedJob settles a queued job as shed without running it. Safe to call
-// on a job another path already settled (it no-ops unless still queued).
-func (s *Server) shedJob(j *job, kind shedKind) {
-	j.mu.Lock()
-	if j.state != stateQueued {
-		j.mu.Unlock()
-		return
-	}
-	j.state = stateShed
-	j.finished = time.Now()
-	switch kind {
-	case shedEvicted:
-		j.err = "shed: evicted under pressure for more urgent work"
-	default:
-		j.err = "shed: deadline cannot be met"
-	}
-	j.mu.Unlock()
-	switch kind {
-	case shedEvicted:
-		s.met.ShedEvicted.Add(1)
-	default:
-		s.met.ShedExpired.Add(1)
-	}
-	// A shed probe settled without a verdict: release the half-open slot,
-	// or the breaker waits forever on a probe that never ran.
-	s.abandonProbe(j)
-	s.releaseCost(j)
-	s.cfg.Logf("serve: %s shed (%s)", j.id, j.err)
-}
-
 // shedExpiredQueued sweeps the queue for jobs whose deadline is already
 // unmeetable, settling each as shed. Returns how many were removed. Runs
 // at admission (to free room before rejecting) and on every watchdog
@@ -306,7 +247,7 @@ func (s *Server) shedExpiredQueued() int {
 	now := time.Now()
 	removed := s.queue.removeIf(func(j *job) bool { return doomed(j, now) })
 	for _, j := range removed {
-		s.shedJob(j, shedExpired)
+		s.settle(j, outShedExpired, nil, nil)
 	}
 	return len(removed)
 }
@@ -334,7 +275,7 @@ func (s *Server) admitQueued(j *job) pushVerdict {
 			return q.deadline.IsZero() || q.deadline.After(j.deadline)
 		}, func(q *job) int64 { return q.estUnits })
 		if victim != nil {
-			s.shedJob(victim, shedEvicted)
+			s.settle(victim, outShedEvicted, nil, nil)
 			if v = s.queue.push(j); v != pushFull {
 				return v
 			}

@@ -45,9 +45,18 @@ type clientState struct {
 	held     int64 // admission cost units currently held
 	jobs     int   // unsettled jobs (queued + running)
 	lastSeen time.Time
-	// Counters for /metrics.
-	admitted, settled           int64
-	rejRate, rejShare, rejQueue int64
+	settled  int64 // jobs settled
+	// counts holds the clientKeys counters, by snapshot key.
+	counts map[string]int64
+}
+
+// clientKeys maps the server counters the ledger also keeps per client to
+// their key in the /metrics clients snapshot.
+var clientKeys = map[string]string{
+	"admitted":              "admitted",
+	"rejected_client_rate":  "rejected_rate",
+	"rejected_client_share": "rejected_share",
+	"rejected_client_queue": "rejected_queue",
 }
 
 // clientLedger tracks per-client admission state. A zero-configured
@@ -85,9 +94,6 @@ func (l *clientLedger) enabled() bool {
 	return l.rate > 0 || l.shareUnits > 0 || l.queueCap > 0
 }
 
-// share returns the per-client concurrent-cost cap (0 = disabled).
-func (l *clientLedger) share() int64 { return l.shareUnits }
-
 // state returns (creating if needed) the entry for name. Caller holds
 // l.mu. At the tracking cap, the least recently seen idle client is
 // evicted first; a table full of clients with work in flight admits the
@@ -99,7 +105,7 @@ func (l *clientLedger) state(name string, now time.Time) *clientState {
 		if len(l.clients) >= maxTrackedClients {
 			l.evictIdle()
 		}
-		st = &clientState{tokens: l.burst, lastFill: now}
+		st = &clientState{tokens: l.burst, lastFill: now, counts: make(map[string]int64, len(clientKeys))}
 		l.clients[name] = st
 	}
 	st.lastSeen = now
@@ -141,7 +147,6 @@ func (l *clientLedger) allow(name string, now time.Time) (bool, int) {
 	}
 	st.lastFill = now
 	if st.tokens < 1 {
-		st.rejRate++
 		after := int(math.Ceil((1 - st.tokens) / l.rate))
 		if after < 1 {
 			after = 1
@@ -153,19 +158,19 @@ func (l *clientLedger) allow(name string, now time.Time) (bool, int) {
 }
 
 // hold reserves units against name's fair-share ledger and returns the
-// post-reservation totals (held units, unsettled jobs). Reserve-then-
-// check mirrors the global budget: the mutexed add serializes concurrent
-// same-client arrivals so they cannot jointly overshoot the share.
-func (l *clientLedger) hold(name string, units int64, now time.Time) (int64, int) {
+// units it now holds. Reserve-then-check mirrors the global budget: the
+// mutexed add serializes concurrent same-client arrivals so they cannot
+// jointly overshoot the share.
+func (l *clientLedger) hold(name string, units int64, now time.Time) int64 {
 	if !l.enabled() {
-		return 0, 0
+		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.state(name, now)
 	st.held += units
 	st.jobs++
-	return st.held, st.jobs
+	return st.held
 }
 
 // release returns a hold when its job settles.
@@ -188,31 +193,16 @@ func (l *clientLedger) release(name string, units int64) {
 	}
 }
 
-// clientCounter names a per-client counter note() can bump.
-type clientCounter int
-
-const (
-	clientAdmitted clientCounter = iota
-	clientRejShare
-	clientRejQueue
-)
-
-// note bumps a per-client counter.
-func (l *clientLedger) note(name string, c clientCounter) {
-	if !l.enabled() {
+// count bumps name's own copy of a server counter, when the ledger keeps
+// that counter per client.
+func (l *clientLedger) count(name, key string) {
+	k, ok := clientKeys[key]
+	if !ok || !l.enabled() {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := l.state(name, time.Now())
-	switch c {
-	case clientAdmitted:
-		st.admitted++
-	case clientRejShare:
-		st.rejShare++
-	case clientRejQueue:
-		st.rejQueue++
-	}
+	l.state(name, time.Now()).counts[k]++
 }
 
 // snapshot renders the per-client counters for /metrics.
@@ -221,15 +211,15 @@ func (l *clientLedger) snapshot() map[string]any {
 	defer l.mu.Unlock()
 	out := make(map[string]any, len(l.clients))
 	for name, st := range l.clients {
-		out[name] = map[string]int64{
-			"admitted":       st.admitted,
+		row := map[string]int64{
 			"settled":        st.settled,
 			"cost_held_ms":   st.held,
 			"jobs_unsettled": int64(st.jobs),
-			"rejected_rate":  st.rejRate,
-			"rejected_share": st.rejShare,
-			"rejected_queue": st.rejQueue,
 		}
+		for _, k := range clientKeys {
+			row[k] = st.counts[k]
+		}
+		out[name] = row
 	}
 	return out
 }

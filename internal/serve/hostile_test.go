@@ -123,8 +123,8 @@ func TestMaxBodyRejectsOversized(t *testing.T) {
 	if body["reason"] != "too-large" {
 		t.Fatalf("reason %q, want too-large", body["reason"])
 	}
-	if s.met.RejectedTooLarge.Load() != 1 {
-		t.Fatalf("rejected_too_large = %d, want 1", s.met.RejectedTooLarge.Load())
+	if s.met.get("rejected_too_large") != 1 {
+		t.Fatalf("rejected_too_large = %d, want 1", s.met.get("rejected_too_large"))
 	}
 }
 
@@ -213,7 +213,7 @@ func TestGraphSubmissionRejectsHostileDocuments(t *testing.T) {
 			}
 		})
 	}
-	if got := s.met.Admitted.Load(); got != 0 {
+	if got := s.met.get("admitted"); got != 0 {
 		t.Fatalf("hostile documents admitted %d jobs, want 0", got)
 	}
 }
@@ -239,8 +239,8 @@ func TestGraphSubmissionRejectsSearchBombs(t *testing.T) {
 	if body["reason"] != string(ingest.ReasonSearchBomb) {
 		t.Fatalf("reason %q, want %s", body["reason"], ingest.ReasonSearchBomb)
 	}
-	if s.met.RejectedBomb.Load() != 1 {
-		t.Fatalf("rejected_bomb = %d, want 1", s.met.RejectedBomb.Load())
+	if s.met.get("rejected_bomb") != 1 {
+		t.Fatalf("rejected_bomb = %d, want 1", s.met.get("rejected_bomb"))
 	}
 	if held := s.costInUse.Load(); held != 0 {
 		t.Fatalf("rejected bomb left %d cost units held", held)
@@ -275,7 +275,7 @@ func TestClientRateLimit(t *testing.T) {
 	if code, body := postAs(t, ts, "good", `{"model":"mlp"}`); code != http.StatusAccepted {
 		t.Fatalf("good client blocked by bully's rate: status %d (%v)", code, body)
 	}
-	if s.met.RejectedClientRate.Load() == 0 {
+	if s.met.get("rejected_client_rate") == 0 {
 		t.Fatal("rejected_client_rate not counted")
 	}
 }
@@ -289,8 +289,8 @@ func TestClientShareIsolation(t *testing.T) {
 	s := New(Config{
 		Model: testModel(), StallWindow: -1, Workers: 1, QueueDepth: 16,
 		DefaultBudget: time.Second,
-		AdmitBudget:   time.Hour,  // global budget never binds here
-		ClientShare:   0.00034,    // ~1.2s of the hour: one ~1.1s job fits, two do not
+		AdmitBudget:   time.Hour, // global budget never binds here
+		ClientShare:   0.00034,   // ~1.2s of the hour: one ~1.1s job fits, two do not
 	})
 	s.runSearch = func(ctx context.Context, j *job) (*opt.Result, error) {
 		select {
@@ -317,8 +317,8 @@ func TestClientShareIsolation(t *testing.T) {
 
 	// The rejected hold must have been rolled back: global cost in use is
 	// exactly the two admitted jobs.
-	if s.met.RejectedClientShare.Load() != 1 {
-		t.Fatalf("rejected_client_share = %d, want 1", s.met.RejectedClientShare.Load())
+	if s.met.get("rejected_client_share") != 1 {
+		t.Fatalf("rejected_client_share = %d, want 1", s.met.get("rejected_client_share"))
 	}
 }
 
@@ -360,8 +360,8 @@ func TestClientQueueCap(t *testing.T) {
 	if code, body := postAs(t, ts, "good", `{"model":"mlp"}`); code != http.StatusAccepted {
 		t.Fatalf("good client blocked by bully's queue cap: status %d (%v)", code, body)
 	}
-	if s.met.ShedEvicted.Load() != 0 {
-		t.Fatalf("client-queue rejection evicted %d victims, want 0", s.met.ShedEvicted.Load())
+	if s.met.get("shed_evicted") != 0 {
+		t.Fatalf("client-queue rejection evicted %d victims, want 0", s.met.get("shed_evicted"))
 	}
 }
 

@@ -41,24 +41,13 @@ const (
 // interruptReason distinguishes why a job's context was cancelled, which
 // decides its post-mortem: drain leaves a resumable checkpoint behind, a
 // first stall re-admits the job to resume immediately.
-type interruptReason int
+type interruptReason string
 
 const (
-	reasonNone interruptReason = iota
-	reasonDrain
-	reasonStall
+	reasonNone  interruptReason = ""
+	reasonDrain interruptReason = "draining"
+	reasonStall interruptReason = "stalled"
 )
-
-func (r interruptReason) String() string {
-	switch r {
-	case reasonDrain:
-		return "draining"
-	case reasonStall:
-		return "stalled"
-	default:
-		return "none"
-	}
-}
 
 type job struct {
 	id     string
@@ -91,10 +80,8 @@ type job struct {
 	minServe time.Duration
 	class    plancache.Class
 	// probe marks the job admitted as its workload's half-open breaker
-	// probe (immutable after admission): if it settles without a verdict —
-	// shed, cancelled, rejected by a later admission gate, or truncated by
-	// the client's deadline — abandonProbe must release the half-open slot
-	// or the breaker wedges open forever.
+	// probe (immutable after admission): refuse or settle hands the slot
+	// back, or the breaker wedges open forever.
 	probe bool
 
 	mu sync.Mutex
@@ -202,34 +189,18 @@ func (j *job) setCacheOutcome(o string) {
 }
 
 // interrupt cancels the job for the given reason. A running job keeps its
-// state until the runner observes the cancellation; a still-queued job is
-// finished on the spot. Returns whether a queued job was cancelled here.
-func (j *job) interrupt(r interruptReason) bool {
+// state until the runner observes the cancellation; a queued one is
+// settled cancelled by whoever holds it next: its worker (runJob) or the
+// drain's queue flush.
+func (j *job) interrupt(r interruptReason) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
-	case stateQueued:
-		j.state = stateCancelled
-		j.interrupted = r
-		j.finished = time.Now()
-		j.err = "cancelled before start: " + r.String()
-		return true
-	case stateRunning:
+	if j.state == stateQueued || j.state == stateRunning {
 		j.interrupted = r
 		if j.cancel != nil {
 			j.cancel()
 		}
 	}
-	return false
-}
-
-// workloadName is the job's workload identity: the model name for
-// built-in jobs, graph-<hash> for direct graph submissions.
-func (j *job) workloadName() string {
-	if j.wlName != "" {
-		return j.wlName
-	}
-	return j.req.Model
 }
 
 // graphWorkloadName derives the workload identity of an uploaded graph
@@ -260,7 +231,7 @@ func (s *Server) newJob(req OptimizeRequest, budget time.Duration, client string
 	return j
 }
 
-// forget unregisters a job that was never admitted (queue full).
+// forget unregisters a job that was never admitted.
 func (s *Server) forget(j *job) {
 	s.mu.Lock()
 	delete(s.jobs, j.id)
@@ -273,7 +244,7 @@ func (s *Server) jobView(j *job) jobView {
 	v := jobView{
 		ID:         j.id,
 		State:      j.state,
-		Model:      j.workloadName(),
+		Model:      j.wlName,
 		Client:     j.client,
 		Mode:       j.req.Mode,
 		BudgetSec:  j.budget.Seconds(),
@@ -308,7 +279,7 @@ func (s *Server) worker() {
 			return
 		}
 		if doomed(j, time.Now()) {
-			s.shedJob(j, shedExpired)
+			s.settle(j, outShedExpired, nil, nil)
 			continue
 		}
 		s.runJob(j)
@@ -319,22 +290,18 @@ func (s *Server) worker() {
 // goroutines.
 func (s *Server) flushQueue() {
 	for _, j := range s.queue.drainAll() {
-		if j.interrupt(reasonDrain) {
-			s.met.Cancelled.Add(1)
-		}
-		s.abandonProbe(j)
-		s.releaseCost(j)
+		s.settle(j, outCancelled, fmt.Errorf("cancelled before start: %s", reasonDrain), nil)
 	}
 }
 
 // abandonProbe releases a job's half-open breaker slot when — and only
-// when — this job was admitted as its workload's probe and settled
-// without delivering a verdict. Gating on j.probe keeps an abandoned
+// when — this job was admitted as its workload's probe and ended without
+// delivering a verdict. Gating on j.probe keeps an abandoned
 // non-probe job of the same workload from releasing a slot a different
 // in-flight probe still owns. Safe to call repeatedly.
 func (s *Server) abandonProbe(j *job) {
 	if j.probe {
-		s.brk.abandon(breakerKey(j.workloadName(), j.req.Scale, j.req.Mode))
+		s.brk.abandon(breakerKey(j.wlName, j.req.Scale, j.req.Mode))
 	}
 }
 
@@ -359,8 +326,9 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 
 	j.mu.Lock()
-	if j.state != stateQueued { // cancelled while queued, drain race
+	if r := j.interrupted; r != reasonNone { // drained while queued
 		j.mu.Unlock()
+		s.settle(j, outCancelled, fmt.Errorf("cancelled before start: %s", r), nil)
 		return
 	}
 	j.state = stateRunning
@@ -378,7 +346,7 @@ func (s *Server) runJob(j *job) {
 		j.mu.Lock()
 		j.degradedStorage = true
 		j.mu.Unlock()
-		s.met.StorageDegradedJobs.Add(1)
+		s.met.add("storage_degraded_jobs", 1)
 		s.cfg.Logf("serve: %s running with degraded storage (uncached, uncheckpointed)", j.id)
 	}
 
@@ -396,128 +364,74 @@ func (s *Server) runJob(j *job) {
 	s.finishJob(j, res, err)
 }
 
-// finishJob settles a job's final state and decides whether an interrupted
-// one comes back: a first stall with a checkpoint is re-admitted to resume;
-// drain leaves the checkpoint for the next incarnation of the server. Every
-// settle path reports the workload's verdict to its circuit breaker:
-// failure, success, or — when the settle carries no verdict (shed, drained,
-// or cut short by the client's own deadline rather than by the workload) —
-// an abandoned probe, so the half-open state can never wedge. It also
-// releases the job's admission cost exactly once;
-// only a successful stall re-queue keeps the cost held, because the work is
-// still in the building.
+// finishJob settles a job that ran, and decides whether an interrupted
+// one comes back: a first stall with a checkpoint is re-admitted to
+// resume, keeping its cost hold because the work is still in the
+// building; drain leaves the checkpoint for the next incarnation of the
+// server.
 func (s *Server) finishJob(j *job, res *opt.Result, err error) {
 	j.mu.Lock()
-	reason := j.interrupted
-	resumes := j.resumes
+	reason, resumes := j.interrupted, j.resumes
 	j.cancel = nil
 	j.finished = time.Now()
 	j.mu.Unlock()
 	s.noteSearchTelemetry(res)
-	bkey := breakerKey(j.workloadName(), j.req.Scale, j.req.Mode)
 
 	switch {
 	case err != nil:
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// The client's clock (or a cancellation) bit, not the workload:
-			// a tight-deadline client on a healthy slow workload is no
-			// failure streak. No verdict either way — just release the
-			// half-open slot if this job was the probe.
-			s.abandonProbe(j)
-		} else if s.brk.fail(bkey, time.Now()) || j.probe {
-			// Genuine search/verify failures count regardless of what
-			// happens next: a workload that only ever limps home on a
-			// fallback tier must still trip. A failed probe re-opens.
-			s.met.BreakerTrips.Add(1)
-			s.cfg.Logf("serve: breaker opened for %s", bkey)
-		}
 		// A deadline-limited search that errored (typically: best-so-far
 		// failed verification after truncation) may still hold a servable
 		// tier; degradedFallback re-verifies before letting it out.
 		if any := s.degradedFallback(j, res, err); any != nil {
-			s.settleDegraded(j, res, any)
-			s.releaseCost(j)
-			s.cfg.Logf("serve: %s degraded to %s after error: %v", j.id, any.Tier, err)
-			return
+			s.settle(j, outDegraded, err, j.resultSummary(res, any))
+		} else {
+			s.settle(j, outFailed, err, nil)
 		}
-		j.mu.Lock()
-		j.state = stateFailed
-		j.err = err.Error()
-		j.mu.Unlock()
-		s.met.Failed.Add(1)
-		s.releaseCost(j)
-		s.cfg.Logf("serve: %s failed: %v", j.id, err)
-
 	case reason == reasonStall && resumes < 1 && s.checkpointExists(j):
-		s.met.Stalled.Add(1)
-		if s.requeueResume(j) {
-			return
+		s.met.add("stalled", 1)
+		if !s.requeueResume(j) {
+			s.settle(j, outCancelled, errors.New("stalled; could not re-admit for resume"), nil)
 		}
-		s.setCancelled(j, "stalled; could not re-admit for resume")
-		s.abandonProbe(j)
-		s.releaseCost(j)
-
 	case reason != reasonNone:
 		if reason == reasonStall {
-			s.met.Stalled.Add(1)
+			s.met.add("stalled", 1)
 		}
-		s.setCancelled(j, "cancelled: "+reason.String())
-		s.abandonProbe(j)
-		s.releaseCost(j)
-
+		s.settle(j, outCancelled, fmt.Errorf("cancelled: %s", reason), nil)
 	default:
-		if any := s.degradedFallback(j, res, nil); any != nil {
-			s.settleDegraded(j, res, any)
-			s.brk.succeed(bkey, j.probe)
-			s.releaseCost(j)
-			s.removeCheckpoint(j)
-			s.cfg.Logf("serve: %s done (degraded: %s)", j.id, any.Tier)
-			return
+		o, any := outDone, s.degradedFallback(j, res, nil)
+		if any != nil {
+			o = outDegraded
 		}
-		j.mu.Lock()
-		j.state = stateDone
-		if res != nil && res.Best != nil {
-			stopped := res.Stopped.String()
-			if j.cacheOutcome == "hit" {
-				stopped = "cache-hit"
-			}
-			j.summary = &jobSummary{
-				PeakMemBytes:    res.Best.PeakMem,
-				LatencySec:      res.Best.Latency,
-				Iterations:      res.Stats.Iterations,
-				Stopped:         stopped,
-				Verified:        j.verified,
-				Cache:           j.cacheOutcome,
-				DegradedStorage: j.degradedStorage,
-			}
-		}
-		j.mu.Unlock()
-		s.met.Completed.Add(1)
-		s.brk.succeed(bkey, j.probe)
-		s.releaseCost(j)
-		s.removeCheckpoint(j)
-		s.cfg.Logf("serve: %s done", j.id)
+		s.settle(j, o, nil, j.resultSummary(res, any))
 	}
 }
 
-// settleDegraded finishes a job as done with a degraded anytime summary:
-// the served plan is a fallback tier, labeled as such, never passed off as
-// a converged result.
-func (s *Server) settleDegraded(j *job, res *opt.Result, any *robust.Anytime) {
+// resultSummary builds the payload of a job that settles done: the
+// search's best plan (nil when there is none), or, when any is set, the
+// degraded fallback tier — labeled as such, never passed off as a
+// converged result.
+func (j *job) resultSummary(res *opt.Result, any *robust.Anytime) *jobSummary {
 	j.mu.Lock()
-	j.state = stateDone
-	j.err = ""
-	sum := &jobSummary{
-		Stopped:         "deadline",
-		Verified:        any.Verified,
-		Cache:           j.cacheOutcome,
-		Degraded:        true,
-		DegradedTier:    any.Tier,
-		DegradedStorage: j.degradedStorage,
+	defer j.mu.Unlock()
+	sum := &jobSummary{Cache: j.cacheOutcome, DegradedStorage: j.degradedStorage}
+	if any == nil {
+		if res == nil || res.Best == nil {
+			return nil
+		}
+		sum.PeakMemBytes, sum.LatencySec = res.Best.PeakMem, res.Best.Latency
+		sum.Iterations = res.Stats.Iterations
+		sum.Stopped = res.Stopped.String()
+		if j.cacheOutcome == "hit" {
+			sum.Stopped = "cache-hit"
+		}
+		sum.Verified = j.verified
+		return sum
 	}
+	sum.Stopped = "deadline"
+	sum.Verified = any.Verified
+	sum.Degraded, sum.DegradedTier = true, any.Tier
 	if any.State != nil {
-		sum.PeakMemBytes = any.State.PeakMem
-		sum.LatencySec = any.State.Latency
+		sum.PeakMemBytes, sum.LatencySec = any.State.PeakMem, any.State.Latency
 	}
 	if res != nil {
 		sum.Iterations = res.Stats.Iterations
@@ -525,23 +439,7 @@ func (s *Server) settleDegraded(j *job, res *opt.Result, any *robust.Anytime) {
 			sum.Stopped = res.Stopped.String()
 		}
 	}
-	j.summary = sum
-	j.mu.Unlock()
-	s.met.Completed.Add(1)
-	s.met.Degraded.Add(1)
-}
-
-func (s *Server) setCancelled(j *job, msg string) {
-	j.mu.Lock()
-	j.state = stateCancelled
-	j.err = msg
-	j.mu.Unlock()
-	s.met.Cancelled.Add(1)
-	if s.checkpointExists(j) {
-		s.cfg.Logf("serve: %s cancelled; checkpoint retained for resume", j.id)
-	} else {
-		s.cfg.Logf("serve: %s cancelled", j.id)
-	}
+	return sum
 }
 
 // requeueResume re-admits a stalled job to continue from its checkpoint.
@@ -559,7 +457,7 @@ func (s *Server) requeueResume(j *job) bool {
 	j.err = ""
 	j.mu.Unlock()
 	if s.queue.push(j) == pushOK {
-		s.met.Resumed.Add(1)
+		s.met.add("resumed", 1)
 		s.cfg.Logf("serve: %s stalled; resuming from checkpoint", j.id)
 		return true
 	}
@@ -579,7 +477,7 @@ func (s *Server) searchJob(ctx context.Context, j *job) (*opt.Result, error) {
 	}
 	onExp := func(completed int) {
 		j.progress(completed)
-		s.met.Expansions.Add(1)
+		s.met.add("expansions", 1)
 	}
 	if path := j.resumeFrom(); path != "" {
 		res, err := opt.Resume(ctx, s.fsys, path, s.cfg.Model, func(o *opt.Options) {
@@ -599,7 +497,7 @@ func (s *Server) searchJob(ctx context.Context, j *job) (*opt.Result, error) {
 	// fidelity pin in hostile_test.go holds the two paths bit-identical.
 	var w *models.Workload
 	if j.g != nil {
-		w = &models.Workload{Name: j.workloadName(), G: j.g}
+		w = &models.Workload{Name: j.wlName, G: j.g}
 	} else {
 		var err error
 		w, err = models.ByName(j.req.Model, j.req.Scale)
@@ -620,7 +518,7 @@ func (s *Server) searchJob(ctx context.Context, j *job) (*opt.Result, error) {
 		o.Checkpoint = opt.Checkpoint{
 			Path:   s.checkpointPath(j.id),
 			EveryN: s.cfg.CheckpointEveryN,
-			Label:  j.workloadName(),
+			Label:  j.wlName,
 			FS:     s.cfg.FS,
 		}
 	}
@@ -713,7 +611,7 @@ func (s *Server) quarantineCheckpoint(name string, cause error) {
 		s.cfg.Logf("serve: quarantining checkpoint %s: %v (cause: %v)", name, err, cause)
 		return
 	}
-	s.met.CkptQuarantined.Add(1)
+	s.met.add("ckpt_quarantined", 1)
 	s.cfg.Logf("serve: quarantined unreadable checkpoint %s -> %s: %v", name, dst, cause)
 }
 
@@ -740,7 +638,7 @@ func (s *Server) gcCheckpoints(names []string) []string {
 			s.cfg.Logf("serve: checkpoint gc (%s): %v", why, err)
 			return
 		}
-		s.met.CkptGCed.Add(1)
+		s.met.add("checkpoints_gced", 1)
 		s.cfg.Logf("serve: gc'd orphaned checkpoint %s (%s)", o.name, why)
 	}
 	for _, name := range names {
@@ -840,6 +738,7 @@ func (s *Server) recoverCheckpoints() int {
 		j := &job{
 			id:         id,
 			req:        OptimizeRequest{Model: info.Label},
+			wlName:     info.Label,
 			budget:     s.cfg.DefaultBudget,
 			client:     anonClient,
 			resumePath: path,
@@ -856,15 +755,14 @@ func (s *Server) recoverCheckpoints() int {
 		s.mu.Unlock()
 		s.holdCost(j)
 		if s.queue.push(j) == pushOK {
-			s.met.Admitted.Add(1)
-			s.met.Resumed.Add(1)
+			s.met.add("admitted", 1)
+			s.met.add("resumed", 1)
 			s.cfg.Logf("serve: recovered %s (%s, %d expansions so far)", id, info.Label, info.Iterations)
 			n++
 		} else {
 			// Queue smaller than the backlog: leave the snapshot for the
 			// next restart rather than over-admitting.
-			s.releaseCost(j)
-			s.forget(j)
+			s.unadmit(j)
 			s.cfg.Logf("serve: queue full; %s stays checkpointed on disk", id)
 		}
 	}

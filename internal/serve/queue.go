@@ -7,10 +7,7 @@ package serve
 // reject-on-full admission decision — and supports the shedding sweeps
 // the overload layer runs (removing doomed jobs, evicting a victim to
 // make room for more urgent work).
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 type jobQueue struct {
 	mu    sync.Mutex
@@ -171,22 +168,9 @@ func (q *jobQueue) evictOne(pred func(*job) bool, cost func(*job) int64) *job {
 	return victim
 }
 
-// Len and Cap report queue occupancy for /healthz and /metrics.
+// Len reports queue occupancy for /healthz and /metrics.
 func (q *jobQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items)
-}
-
-func (q *jobQueue) Cap() int { return q.limit }
-
-// nextDeadline reports the earliest queued deadline (zero time when the
-// queue is empty or deadline-less); Retry-After hints use it.
-func (q *jobQueue) nextDeadline() time.Time {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return time.Time{}
-	}
-	return q.items[0].deadline
 }

@@ -207,64 +207,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metrics are the service-level counters exposed by /metrics.
-type metrics struct {
-	Admitted         atomic.Int64
-	RejectedFull     atomic.Int64
-	RejectedDraining atomic.Int64
-	RejectedInvalid  atomic.Int64
-	Completed        atomic.Int64
-	Failed           atomic.Int64
-	Cancelled        atomic.Int64
-	Stalled          atomic.Int64
-	Resumed          atomic.Int64
-	Expansions       atomic.Int64
-	// Plan-cache outcomes, counted per job: answered from an exact entry,
-	// missed, warm-started from a near miss, or shared another request's
-	// in-flight search.
-	CacheHits       atomic.Int64
-	CacheMisses     atomic.Int64
-	CacheWarmStarts atomic.Int64
-	FlightShared    atomic.Int64
-	// CkptQuarantined counts restart-recovery checkpoints that failed to
-	// read back and were moved aside.
-	CkptQuarantined atomic.Int64
-	// Per-class admissions: how the admission estimator classified each
-	// accepted job against the plan cache.
-	AdmittedHit  atomic.Int64
-	AdmittedWarm atomic.Int64
-	AdmittedCold atomic.Int64
-	// Overload-protection outcomes: rejections by reason, queued jobs shed
-	// before running, degraded anytime responses, breaker trips.
-	RejectedCost     atomic.Int64
-	RejectedBreaker  atomic.Int64
-	RejectedDeadline atomic.Int64
-	ShedExpired      atomic.Int64
-	ShedEvicted      atomic.Int64
-	Degraded         atomic.Int64
-	BreakerTrips     atomic.Int64
-	// Storage-robustness outcomes: persistence faults observed, jobs run
-	// with persistence disabled, successful recovery probes, and orphaned
-	// checkpoints garbage-collected at restart.
-	StorageFaults       atomic.Int64
-	StorageDegradedJobs atomic.Int64
-	StorageRecoveries   atomic.Int64
-	CkptGCed            atomic.Int64
-	// Memory-governor outcomes across all searches: runs stopped at the
-	// budget and frontier states shed.
-	GovernorStops   atomic.Int64
-	GovernorEvicted atomic.Int64
-	// Hostile-traffic outcomes: oversized bodies, graphs rejected at
-	// ingestion, search bombs caught by the preflight, and per-client
-	// fairness rejections (rate, fair-share cost, queue occupancy).
-	RejectedTooLarge    atomic.Int64
-	RejectedIngest      atomic.Int64
-	RejectedBomb        atomic.Int64
-	RejectedClientRate  atomic.Int64
-	RejectedClientShare atomic.Int64
-	RejectedClientQueue atomic.Int64
-}
-
 // Server is the service. Create with New, wire Handler into an HTTP
 // server, call Start, and Drain on shutdown.
 type Server struct {
@@ -316,6 +258,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg.withDefaults(),
 		jobs:    make(map[string]*job),
 		wlStats: make(map[string]*wlStats),
+		met:     newMetrics(),
 	}
 	s.queue = newJobQueue(s.cfg.QueueDepth, s.cfg.ClientQueue)
 	s.clients = newClientLedger(s.cfg)
@@ -353,19 +296,13 @@ func (s *Server) Drain(ctx context.Context) error {
 		// workers see closed-and-empty and exit instead of popping work.
 		s.flushQueue()
 		s.queue.close()
+		// Running searches stop and checkpoint; a job popped but not yet
+		// started settles cancelled when its worker gets to it.
 		s.mu.Lock()
-		jobs := make([]*job, 0, len(s.jobs))
 		for _, j := range s.jobs {
-			jobs = append(jobs, j)
+			j.interrupt(reasonDrain)
 		}
 		s.mu.Unlock()
-		for _, j := range jobs {
-			if j.interrupt(reasonDrain) {
-				s.met.Cancelled.Add(1)
-				s.abandonProbe(j)
-				s.releaseCost(j)
-			}
-		}
 	}
 	done := make(chan struct{})
 	go func() {
@@ -527,10 +464,29 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.draining.Load() {
-		s.met.RejectedDraining.Add(1)
-		httpReject(w, http.StatusServiceUnavailable, "draining", "draining: not admitting new jobs")
+	j, no := s.admit(w, r)
+	if no != nil {
+		s.refuse(w, j, no)
 		return
+	}
+	s.cfg.Logf("serve: admitted %s (%s, client %s, budget %v, class %s, est %v)",
+		j.id, j.wlName, j.client, j.budget, j.class, j.estServe)
+	w.Header().Set("Location", "/jobs/"+j.id)
+	writeJSON(w, http.StatusAccepted, s.jobView(j))
+}
+
+// admit runs a request through the admission gates, cheapest first, and
+// queues the job. On refusal it returns why, along with the job admission
+// had built so far (nil before newJob) for refuse to hand back.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*job, *refusal) {
+	client := ""
+	no := func(code int, reason, counter string, retry int, format string, args ...any) *refusal {
+		return &refusal{code: code, reason: reason, counter: counter, retry: retry,
+			client: client, msg: fmt.Sprintf(format, args...)}
+	}
+	if s.draining.Load() {
+		return nil, no(http.StatusServiceUnavailable, "draining", "rejected_draining", 0,
+			"draining: not admitting new jobs")
 	}
 
 	// The body is untrusted: bound its size before the decoder allocates
@@ -541,118 +497,90 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.met.RejectedTooLarge.Add(1)
-			httpReject(w, http.StatusRequestEntityTooLarge, "too-large",
+		switch {
+		case errors.As(err, &tooBig):
+			return nil, no(http.StatusRequestEntityTooLarge, "too-large", "rejected_too_large", 0,
 				"request body exceeds %d bytes", s.cfg.MaxBody)
-			return
+		case strings.Contains(err.Error(), "unknown field"):
+			return nil, no(http.StatusBadRequest, "unknown-field", "rejected_invalid", 0, "bad request body: %v", err)
+		default:
+			return nil, no(http.StatusBadRequest, "syntax", "rejected_invalid", 0, "bad request body: %v", err)
 		}
-		s.met.RejectedInvalid.Add(1)
-		if strings.Contains(err.Error(), "unknown field") {
-			httpReject(w, http.StatusBadRequest, "unknown-field", "bad request body: %v", err)
-		} else {
-			httpReject(w, http.StatusBadRequest, "syntax", "bad request body: %v", err)
-		}
-		return
 	}
 
-	client, err := resolveClient(req.Client, r.Header.Get("X-Magis-Client"))
-	if err != nil {
-		s.met.RejectedInvalid.Add(1)
-		httpReject(w, http.StatusBadRequest, "client", "invalid client identity: %v", err)
-		return
+	var err error
+	if client, err = resolveClient(req.Client, r.Header.Get("X-Magis-Client")); err != nil {
+		return nil, no(http.StatusBadRequest, "client", "rejected_invalid", 0, "invalid client identity: %v", err)
 	}
-
 	budget, wait, err := req.normalize(s.cfg)
 	if err != nil {
-		s.met.RejectedInvalid.Add(1)
-		httpReject(w, http.StatusBadRequest, "invalid", "%v", err)
-		return
+		return nil, no(http.StatusBadRequest, "invalid", "rejected_invalid", 0, "%v", err)
 	}
 
 	// Per-client rate limit: the cheapest gate, charged before any
 	// per-request pricing or ingestion work runs on the client's behalf.
 	if ok, after := s.clients.allow(client, time.Now()); !ok {
-		s.met.RejectedClientRate.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(after))
-		httpReject(w, http.StatusTooManyRequests, "client-rate",
+		return nil, no(http.StatusTooManyRequests, "client-rate", "rejected_client_rate", after,
 			"client %q over its request rate: retry later", client)
-		return
 	}
 
 	// Untrusted graph ingestion: strict decode under structural limits,
 	// then the search-cost preflight. Everything here is bounded by
 	// Config.Ingest, so a hostile document is refused with a structured
 	// reason before it can cost the server anything.
-	var g *graphHolder
+	var g *graph.Graph
 	if len(req.Graph) > 0 {
 		decoded, _, err := ingest.Decode(bytes.NewReader(req.Graph), s.cfg.Ingest)
 		if err == nil {
 			err = ingest.Preflight(decoded, opt.Options{Workers: req.Workers}, s.cfg.Ingest)
 		}
 		if err != nil {
-			ie := ingest.AsError(err)
-			code, reason := http.StatusBadRequest, "ingest"
-			if ie != nil {
+			code, reason, counter := http.StatusBadRequest, "ingest", "rejected_ingest"
+			if ie := ingest.AsError(err); ie != nil {
 				code, reason = ie.HTTPStatus(), string(ie.Reason)
 			}
 			switch {
 			case code == http.StatusRequestEntityTooLarge:
-				s.met.RejectedTooLarge.Add(1)
-			case ie != nil && ie.Reason == ingest.ReasonSearchBomb:
-				s.met.RejectedBomb.Add(1)
-			default:
-				s.met.RejectedIngest.Add(1)
+				counter = "rejected_too_large"
+			case reason == string(ingest.ReasonSearchBomb):
+				counter = "rejected_bomb"
 			}
-			httpReject(w, code, reason, "graph rejected: %v", err)
-			return
+			return nil, no(code, reason, counter, 0, "graph rejected: %v", err)
 		}
-		g = &graphHolder{g: decoded}
+		g = decoded
 	}
 
 	// Circuit breaker: a workload that keeps failing is rejected outright
 	// (except the half-open probe) so it cannot monopolize workers. A
 	// request admitted here as the probe owns the half-open slot from this
-	// point on: every later rejection path must hand the slot back
-	// (abandonProbe), or the breaker stays wedged waiting on a probe that
-	// never ran. Graph submissions key the breaker by content hash, so a
-	// poison graph resubmitted verbatim trips its own breaker.
+	// point on; refuse and settle hand it back. Graph submissions key the
+	// breaker by content hash, so a poison graph resubmitted verbatim
+	// trips its own breaker.
 	wlname := req.Model
 	if g != nil {
-		wlname = graphWorkloadName(g.g)
+		wlname = graphWorkloadName(g)
 	}
 	bkey := breakerKey(wlname, req.Scale, req.Mode)
 	retry, ok, probe := s.brk.allow(bkey, time.Now())
 	if !ok {
-		s.met.RejectedBreaker.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(int(retry/time.Second)+1))
-		httpReject(w, http.StatusServiceUnavailable, "breaker",
+		return nil, no(http.StatusServiceUnavailable, "breaker", "rejected_breaker", int(retry/time.Second)+1,
 			"workload %s is circuit-broken after repeated failures: retry later", bkey)
-		return
 	}
 
-	j := s.newJob(req, budget, client, g.graph())
+	j := s.newJob(req, budget, client, g)
 	j.probe = probe
 	if wait > 0 {
 		j.deadline = j.created.Add(wait)
 	}
 	if err := s.estimateJob(j); err != nil {
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedInvalid.Add(1)
-		httpReject(w, http.StatusBadRequest, "invalid", "%v", err)
-		return
+		return j, no(http.StatusBadRequest, "invalid", "rejected_invalid", 0, "%v", err)
 	}
 
 	// Doomed on arrival: the deadline cannot be met even if a worker were
 	// free right now — shed at the door, before any queue slot is spent.
 	if doomed(j, time.Now()) {
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedDeadline.Add(1)
-		httpReject(w, http.StatusUnprocessableEntity, "deadline",
+		return j, no(http.StatusUnprocessableEntity, "deadline", "rejected_deadline", 0,
 			"deadline %v is below the minimum feasible service time %v", wait, j.minServe)
-		return
 	}
 
 	// Resource-aware admission: the job's estimated cost must fit both the
@@ -665,28 +593,15 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// one-at-a-time service instead of permanent rejection.
 	budgetUnits := costUnits(s.cfg.AdmitBudget)
 	tot := s.holdCost(j)
-	if share := s.clients.share(); share > 0 && tot.clientHeld > share && tot.clientHeld != j.estUnits {
-		s.releaseCost(j)
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedClientShare.Add(1)
-		s.clients.note(client, clientRejShare)
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
-		httpReject(w, http.StatusTooManyRequests, "client-share",
+	if share := s.clients.shareUnits; share > 0 && tot.clientHeld > share && tot.clientHeld != j.estUnits {
+		return j, no(http.StatusTooManyRequests, "client-share", "rejected_client_share", retryBacklog,
 			"client %q over its fair share (%dms held + %dms requested > %dms): retry later",
 			client, tot.clientHeld-j.estUnits, j.estUnits, share)
-		return
 	}
 	if tot.total > budgetUnits && tot.total != j.estUnits {
-		s.releaseCost(j)
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedCost.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
-		httpReject(w, http.StatusTooManyRequests, "budget",
+		return j, no(http.StatusTooManyRequests, "budget", "rejected_cost", retryBacklog,
 			"admission budget exhausted (%dms held + %dms requested > %dms): retry later",
 			tot.total-j.estUnits, j.estUnits, budgetUnits)
-		return
 	}
 
 	// Non-blocking admission: a full queue sheds (expired first, then the
@@ -697,43 +612,15 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// rejection is the client's own doing and evicts nobody.
 	switch s.admitQueued(j) {
 	case pushClientFull:
-		s.releaseCost(j)
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedClientQueue.Add(1)
-		s.clients.note(client, clientRejQueue)
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
-		httpReject(w, http.StatusTooManyRequests, "client-queue",
+		return j, no(http.StatusTooManyRequests, "client-queue", "rejected_client_queue", retryBacklog,
 			"client %q holds its full queue allotment (%d): retry later", client, s.cfg.ClientQueue)
-		return
 	case pushFull:
-		s.releaseCost(j)
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedFull.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
-		httpReject(w, http.StatusTooManyRequests, "queue-full",
+		return j, no(http.StatusTooManyRequests, "queue-full", "rejected_full", retryBacklog,
 			"queue full (%d queued): retry later", s.cfg.QueueDepth)
-		return
 	}
-	s.met.Admitted.Add(1)
-	s.admitClass(j.class)
-	s.clients.note(client, clientAdmitted)
-	s.cfg.Logf("serve: admitted %s (%s, client %s, budget %v, class %s, est %v)",
-		j.id, j.workloadName(), client, budget, j.class, j.estServe)
-	w.Header().Set("Location", "/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, s.jobView(j))
-}
-
-// graphHolder lets the graph-vs-model branches above share one nilable
-// handle without sprinkling nil checks on a typed *graph.Graph.
-type graphHolder struct{ g *graph.Graph }
-
-func (h *graphHolder) graph() *graph.Graph {
-	if h == nil {
-		return nil
-	}
-	return h.g
+	s.count(client, "admitted")
+	s.met.add("admitted_"+j.class.String(), 1)
+	return j, nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -767,7 +654,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, map[string]any{
 		"status":         status,
 		"queue_depth":    s.queue.Len(),
-		"queue_capacity": s.queue.Cap(),
+		"queue_capacity": s.cfg.QueueDepth,
 		"in_flight":      s.inFlight.Load(),
 		"jobs":           total,
 		"cost_in_use_ms": s.costInUse.Load(),
@@ -779,57 +666,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
-		"admitted":          s.met.Admitted.Load(),
-		"rejected_full":     s.met.RejectedFull.Load(),
-		"rejected_draining": s.met.RejectedDraining.Load(),
-		"rejected_invalid":  s.met.RejectedInvalid.Load(),
-		"completed":         s.met.Completed.Load(),
-		"failed":            s.met.Failed.Load(),
-		"cancelled":         s.met.Cancelled.Load(),
-		"stalled":           s.met.Stalled.Load(),
-		"resumed":           s.met.Resumed.Load(),
-		"expansions":        s.met.Expansions.Load(),
-		"in_flight":         s.inFlight.Load(),
-		"queue_depth":       int64(s.queue.Len()),
-		"ckpt_quarantined":  s.met.CkptQuarantined.Load(),
-		// Overload-protection counters.
-		"admitted_hit":      s.met.AdmittedHit.Load(),
-		"admitted_warm":     s.met.AdmittedWarm.Load(),
-		"admitted_cold":     s.met.AdmittedCold.Load(),
-		"rejected_cost":     s.met.RejectedCost.Load(),
-		"rejected_breaker":  s.met.RejectedBreaker.Load(),
-		"rejected_deadline": s.met.RejectedDeadline.Load(),
-		"shed_expired":      s.met.ShedExpired.Load(),
-		"shed_evicted":      s.met.ShedEvicted.Load(),
-		"degraded":          s.met.Degraded.Load(),
-		"breaker_trips":     s.met.BreakerTrips.Load(),
-		"breaker_open":      int64(s.brk.openCount()),
-		"cost_in_use_ms":    s.costInUse.Load(),
-		"cost_budget_ms":    costUnits(s.cfg.AdmitBudget),
-		// Storage-robustness and memory-governor counters.
-		"storage_state":           storageState(s.storage),
-		"storage_faults":          s.met.StorageFaults.Load(),
-		"storage_degraded_jobs":   s.met.StorageDegradedJobs.Load(),
-		"storage_recoveries":      s.met.StorageRecoveries.Load(),
-		"checkpoints_gced":        s.met.CkptGCed.Load(),
-		"governor_stops":          s.met.GovernorStops.Load(),
-		"governor_evicted_states": s.met.GovernorEvicted.Load(),
-		// Hostile-traffic counters.
-		"rejected_too_large":    s.met.RejectedTooLarge.Load(),
-		"rejected_ingest":       s.met.RejectedIngest.Load(),
-		"rejected_bomb":         s.met.RejectedBomb.Load(),
-		"rejected_client_rate":  s.met.RejectedClientRate.Load(),
-		"rejected_client_share": s.met.RejectedClientShare.Load(),
-		"rejected_client_queue": s.met.RejectedClientQueue.Load(),
+		"in_flight":      s.inFlight.Load(),
+		"queue_depth":    int64(s.queue.Len()),
+		"breaker_open":   int64(s.brk.openCount()),
+		"cost_in_use_ms": s.costInUse.Load(),
+		"cost_budget_ms": costUnits(s.cfg.AdmitBudget),
+		"storage_state":  storageState(s.storage),
 	}
+	s.met.render(out, counterKeys)
 	if s.clients.enabled() {
 		out["clients"] = s.clients.snapshot()
 	}
 	if s.cfg.Cache != nil {
-		out["cache_hits"] = s.met.CacheHits.Load()
-		out["cache_misses"] = s.met.CacheMisses.Load()
-		out["cache_warm_starts"] = s.met.CacheWarmStarts.Load()
-		out["flight_shared"] = s.met.FlightShared.Load()
+		s.met.render(out, cacheCounterKeys)
 		out["cache"] = s.cfg.Cache.Stats()
 		out["cache_hit_latency_sec"] = s.hitLat.percentiles()
 		out["cache_miss_latency_sec"] = s.missLat.percentiles()
@@ -844,11 +693,8 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // httpReject writes a structured rejection: the human-readable error plus
 // a stable machine-readable reason code clients (and the hostile chaos
 // harness) can branch on without parsing prose.
-func httpReject(w http.ResponseWriter, code int, reason string, format string, args ...any) {
-	writeJSON(w, code, map[string]string{
-		"error":  fmt.Sprintf(format, args...),
-		"reason": reason,
-	})
+func httpReject(w http.ResponseWriter, code int, reason, msg string) {
+	writeJSON(w, code, map[string]string{"error": msg, "reason": reason})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

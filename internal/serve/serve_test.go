@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -238,6 +239,52 @@ func TestDrainCheckpointsAndRestartResumes(t *testing.T) {
 		t.Errorf("finished job's checkpoint not removed (err=%v)", err)
 	}
 	drainServer(t, s2)
+}
+
+// TestFailedJobLeavesNoCheckpoint: the search flushes a final snapshot on
+// every exit, so a job that fails after its search ran must remove that
+// file when it settles. Otherwise the next server on the same directory
+// re-admits a job whose client already saw it fail.
+func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Model:            testModel(),
+		CheckpointDir:    dir,
+		CheckpointEveryN: 1,
+		StallWindow:      -1,
+	}
+	s := New(cfg)
+	s.runSearch = func(ctx context.Context, j *job) (*opt.Result, error) {
+		res, err := s.searchJob(ctx, j)
+		if err == nil {
+			err = errors.New("injected failure after the search")
+		}
+		return res, err
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, body := post(t, ts, `{"model":"mlp","scale":0.05,"budget":"30s","iterations":3,"workers":1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, body)
+	}
+	id := body["id"].(string)
+	waitFor(t, "job to fail", func() bool {
+		_, v := get(t, ts, "/jobs/"+id)
+		return v["state"] == stateFailed
+	})
+	drainServer(t, s)
+
+	if _, err := os.Stat(filepath.Join(dir, id+".ckpt")); !os.IsNotExist(err) {
+		t.Errorf("failed job's checkpoint left on disk (err=%v)", err)
+	}
+	s2 := New(cfg)
+	n := s2.Start()
+	drainServer(t, s2)
+	if n != 0 {
+		t.Errorf("restart re-admitted %d settled job(s), want 0", n)
+	}
 }
 
 // get0 hits a handler directly (for a server whose listener is closed).

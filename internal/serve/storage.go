@@ -50,7 +50,7 @@ func storageState(gs *gates) string {
 // noteStorageFault counts one persistence fault against the health
 // machine and logs the transition when it degrades.
 func (s *Server) noteStorageFault(op string, err error) {
-	s.met.StorageFaults.Add(1)
+	s.met.add("storage_faults", 1)
 	if s.storage.fail("", time.Now()) {
 		s.cfg.Logf("serve: storage degraded after repeated faults (%s: %v); serving uncached and uncheckpointed", op, err)
 	} else {
@@ -77,7 +77,7 @@ func (s *Server) storageAllowed() bool {
 		return false
 	}
 	if s.storage.succeed("", true) {
-		s.met.StorageRecoveries.Add(1)
+		s.met.add("storage_recoveries", 1)
 		s.cfg.Logf("serve: storage recovered after successful probe")
 	}
 	return true
@@ -115,9 +115,9 @@ func (s *Server) noteSearchTelemetry(res *opt.Result) {
 		}
 	}
 	if g := res.Governor; g != nil {
-		s.met.GovernorEvicted.Add(int64(g.EvictedStates))
+		s.met.add("governor_evicted_states", int64(g.EvictedStates))
 		if res.Stopped == opt.StopMemBudget {
-			s.met.GovernorStops.Add(1)
+			s.met.add("governor_stops", 1)
 		}
 	}
 }

@@ -282,7 +282,7 @@ func TestCheckpointGCOnRestart(t *testing.T) {
 	}
 	defer drainServer(t, s)
 
-	if got := s.met.CkptGCed.Load(); got != 3 {
+	if got := s.met.get("checkpoints_gced"); got != 3 {
 		t.Errorf("checkpoints_gced = %d, want 3 (2 by age, 1 over cap)", got)
 	}
 	for _, name := range []string{"job-1.ckpt", "job-2.ckpt", "job-3.ckpt"} {
@@ -294,7 +294,7 @@ func TestCheckpointGCOnRestart(t *testing.T) {
 		t.Error("temp debris survived the startup sweep")
 	}
 	// The two survivors are unreadable -> quarantined, not deleted.
-	if got := s.met.CkptQuarantined.Load(); got != 2 {
+	if got := s.met.get("ckpt_quarantined"); got != 2 {
 		t.Errorf("ckpt_quarantined = %d, want 2", got)
 	}
 	for _, name := range []string{"job-4.ckpt", "job-5.ckpt"} {
@@ -333,7 +333,7 @@ func TestCheckpointReadFaultIsNotQuarantined(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", "job-1.ckpt")); !os.IsNotExist(err) {
 		t.Error("transient read fault quarantined a healthy checkpoint")
 	}
-	if q, f := s.met.CkptQuarantined.Load(), s.met.StorageFaults.Load(); q != 0 || f != 1 {
+	if q, f := s.met.get("ckpt_quarantined"), s.met.get("storage_faults"); q != 0 || f != 1 {
 		t.Errorf("ckpt_quarantined=%d storage_faults=%d, want 0/1", q, f)
 	}
 	// The fault has cleared: the next incarnation recovers the job.
