@@ -108,7 +108,9 @@ type Fig15Breakdown struct {
 }
 
 // Fig15 runs MAGIS on ViT for the configured budget and reports where the
-// time went.
+// time went. The search runs on one worker whatever cfg.Workers says:
+// phase times are summed over workers, so with more than one the
+// percentages of wall time would add up to more than 100.
 func Fig15(cfg Config, w *models.Workload) Fig15Breakdown {
 	cfg = cfg.defaults()
 	if w == nil {
@@ -121,7 +123,7 @@ func Fig15(cfg Config, w *models.Workload) Fig15Breakdown {
 		Mode:         opt.MemoryUnderLatency,
 		LatencyLimit: base.Latency * 1.10,
 		TimeBudget:   cfg.Budget,
-		Workers:      cfg.Workers,
+		Workers:      1,
 	})
 	total := time.Since(start)
 	out := Fig15Breakdown{Total: total}

@@ -1,7 +1,9 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"magis/internal/graph"
 )
@@ -19,18 +21,18 @@ type Scheduler struct {
 	// BeamWidth is the beam width for medium sub-problems.
 	BeamWidth int
 
-	// scratch is reused across scheduling calls; a Scheduler is therefore
-	// not safe for concurrent use (the search gives each worker its own).
-	scratch Scratch
-
-	// Reused work storage. The beam scheduler prices every fission region
-	// of every search candidate, so its per-step state lives in slots that
-	// persist across calls instead of per-entry allocations.
-	pb    problem
-	topo  graph.TopoScratch
-	slots []beamEntry
-	cands []beamCand
-	blist []*beamEntry
+	// Reused work storage; a Scheduler is therefore not safe for
+	// concurrent use (the search gives each worker its own). The beam
+	// scheduler prices every fission region of every search candidate, so
+	// its per-step state lives in slots that persist across calls instead
+	// of per-entry allocations.
+	vw          view     // member set being scheduled
+	pb          problem  // segment being solved
+	pos         []int32  // IncrementalR: NodeID -> old schedule position
+	layer, next []uint64 // exact DP frontiers
+	slots       []beamEntry
+	cands       []beamCand
+	blist       []*beamEntry
 }
 
 func (sc *Scheduler) maxExact() int {
@@ -57,163 +59,138 @@ func (sc *Scheduler) beamWidth() int {
 // DpSchedule returns a peak-memory-minimizing execution order for the
 // standalone graph g (exact for small g, approximate beyond MaxExact).
 func (sc *Scheduler) DpSchedule(g *graph.Graph) Schedule {
-	n := g.Len()
+	sc.vw.reset(g, g.NodeIDs())
+	return sc.solve(sc.vw.all(), nil)
+}
+
+// solve schedules the members seg (ascending ranks) of sc.vw as one
+// sub-problem and appends the order to dst.
+func (sc *Scheduler) solve(seg []int32, dst Schedule) Schedule {
+	p := &sc.pb
+	p.load(&sc.vw, seg)
+	n := len(p.ids)
 	switch {
 	case n == 0:
-		return nil
+		return dst
 	case n == 1:
-		return Schedule{g.NodeIDs()[0]}
+		return append(dst, p.ids[0])
 	case n <= sc.maxExact():
-		return sc.exact(g)
+		return sc.exact(p, dst)
 	case n <= sc.beamLimit():
-		return sc.beam(g, sc.beamWidth())
+		dst, _ = sc.beam(p, sc.beamWidth(), dst)
 	default:
-		return sc.beam(g, 1)
+		dst, _ = sc.beam(p, 1, dst)
 	}
+	return dst
 }
 
-// problem is the indexed form of a scheduling sub-problem. All per-node
-// tables and both adjacency arenas are reused across calls.
+// problem is the indexed form of a scheduling sub-problem: the members of
+// a view segment in smallest-ID-first topological order (the order Kahn's
+// algorithm with a sorted frontier gives), with adjacency restricted to
+// the segment. All tables are reused across loads.
 type problem struct {
-	ids      []graph.NodeID // index -> node, topo order
-	idx      []int32        // NodeID -> index
-	preds    [][]int32      // distinct predecessors, arena-backed
-	sucs     [][]int32      // distinct consumers, arena-backed
-	size     []int64
-	trans    []int64
-	hasCons  []bool
-	predMask []uint64 // exact DP only, n <= 64
-	sucMask  []uint64
+	adjacency                // over topological indices
+	ids       []graph.NodeID // index -> node
+	size      []int64
+	trans     []int64
+	predMask  []uint64 // exact DP only, n <= 64
+	sucMask   []uint64
 
-	predArena, sucArena, cnt []int32
+	order, frontier []int32
 }
 
-func ensureI32(s []int32, n int) []int32 {
+// ensure returns s resized to n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func ensure[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func ensureI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
+// load (re)builds p for the members seg (ascending ranks) of v. The
+// result is valid until the next load. v.at marks the segment while it
+// is read and is all -1 again afterwards (view.reset restores it if a
+// load panics half-way).
+func (p *problem) load(v *view, seg []int32) {
+	n := len(seg)
+	at := v.at
+	for j, r := range seg {
+		at[r] = int32(j)
 	}
-	return s[:n]
-}
-
-func ensureU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-// problemFor (re)builds sc.pb for g. The result is valid until the next
-// problemFor call on the same Scheduler.
-func (sc *Scheduler) problemFor(g *graph.Graph) *problem {
-	p := &sc.pb
-	order, err := g.TopoInto(&sc.topo)
-	if err != nil {
-		panic(err.Error())
-	}
-	n := len(order)
-	if cap(p.ids) < n {
-		p.ids = make([]graph.NodeID, n)
-	} else {
-		p.ids = p.ids[:n]
-	}
-	copy(p.ids, order)
-	maxID := 0
-	for _, v := range p.ids {
-		if int(v) > maxID {
-			maxID = int(v)
+	// Kahn's algorithm over segment positions, always emitting the
+	// smallest ready one; positions ascend with node IDs. indeg borrows
+	// the consumer-count buffer, which invert refills below.
+	indeg := ensure(p.cnt, n)
+	frontier := p.frontier[:0]
+	for j, r := range seg {
+		indeg[j] = 0
+		for _, u := range v.preds[r] {
+			if at[u] >= 0 {
+				indeg[j]++
+			}
+		}
+		if indeg[j] == 0 {
+			frontier = append(frontier, int32(j))
 		}
 	}
-	p.idx = ensureI32(p.idx, maxID+1)
-	for i, v := range p.ids {
-		p.idx[v] = int32(i)
-	}
-	if cap(p.preds) < n {
-		p.preds = make([][]int32, n)
-		p.sucs = make([][]int32, n)
-	} else {
-		p.preds = p.preds[:n]
-		p.sucs = p.sucs[:n]
-	}
-	p.size = ensureI64(p.size, n)
-	p.trans = ensureI64(p.trans, n)
-	if cap(p.hasCons) < n {
-		p.hasCons = make([]bool, n)
-	} else {
-		p.hasCons = p.hasCons[:n]
-	}
-	small := n <= 64
-	if small {
-		p.predMask = ensureU64(p.predMask, n)
-		p.sucMask = ensureU64(p.sucMask, n)
-		for i := 0; i < n; i++ {
-			p.predMask[i] = 0
-			p.sucMask[i] = 0
+	order := p.order[:0]
+	for head := 0; head < len(frontier); head++ {
+		j := frontier[head]
+		order = append(order, j)
+		for _, s := range v.sucs[seg[j]] {
+			k := at[s]
+			if k < 0 {
+				continue
+			}
+			if indeg[k]--; indeg[k] == 0 {
+				i, _ := slices.BinarySearch(frontier[head+1:], k)
+				frontier = slices.Insert(frontier, head+1+i, k)
+			}
 		}
-	} else {
-		p.predMask, p.sucMask = p.predMask[:0], p.sucMask[:0]
 	}
-	// Distinct predecessors, deduplicated by linear scan (input lists are
-	// tiny) into one arena.
-	arena := p.predArena[:0]
-	for i, v := range p.ids {
-		node := g.Node(v)
+	if len(order) != n {
+		panic("sched: cycle in scheduling sub-problem")
+	}
+	p.order, p.frontier, p.cnt = order, frontier, indeg
+	for i, j := range order {
+		at[seg[j]] = int32(i)
+	}
+
+	p.ids = ensure(p.ids, n)
+	p.size = ensure(p.size, n)
+	p.trans = ensure(p.trans, n)
+	p.begin(n)
+	for i, j := range order {
+		r := seg[j]
+		p.ids[i] = v.ids[r]
+		node := v.g.Node(p.ids[i])
 		p.size[i] = OutDeviceBytes(node)
 		p.trans[i] = ExecTransientBytes(node)
-		p.hasCons[i] = g.SucEdges(v) > 0
-		base := len(arena)
-	ins:
-		for _, pr := range node.Ins {
-			j := p.idx[pr]
-			for _, e := range arena[base:] {
-				if e == j {
-					continue ins
-				}
+		base := len(p.predArena)
+		for _, u := range v.preds[r] {
+			if k := at[u]; k >= 0 {
+				p.predArena = append(p.predArena, k)
 			}
-			arena = append(arena, j)
 		}
-		p.preds[i] = arena[base:len(arena):len(arena)]
-		if small {
-			for _, j := range arena[base:] {
+		p.setPreds(i, base)
+	}
+	p.invert()
+	for _, r := range seg {
+		at[r] = -1
+	}
+	if n <= 64 {
+		p.predMask = ensure(p.predMask, n)
+		p.sucMask = ensure(p.sucMask, n)
+		clear(p.predMask)
+		clear(p.sucMask)
+		for i, ps := range p.preds {
+			for _, j := range ps {
 				p.predMask[i] |= 1 << j
 				p.sucMask[j] |= 1 << i
 			}
 		}
 	}
-	p.predArena = arena
-	// Distinct consumers: preds are deduplicated, so each (u, v) pair
-	// occurs once; counting pass sizes the arena sub-slices.
-	cnt := ensureI32(p.cnt, n)
-	p.cnt = cnt
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	total := 0
-	for i := range p.preds {
-		for _, u := range p.preds[i] {
-			cnt[u]++
-			total++
-		}
-	}
-	sa := ensureI32(p.sucArena, total)
-	p.sucArena = sa
-	off := int32(0)
-	for u := 0; u < n; u++ {
-		p.sucs[u] = sa[off : off : off+cnt[u]]
-		off += cnt[u]
-	}
-	for i := range p.preds {
-		for _, u := range p.preds[i] {
-			p.sucs[u] = append(p.sucs[u], int32(i))
-		}
-	}
-	return p
 }
 
 type dpEntry struct {
@@ -223,20 +200,21 @@ type dpEntry struct {
 	last  int8
 }
 
-// exact runs the exponential DP over subsets (n <= 64 by construction).
-func (sc *Scheduler) exact(g *graph.Graph) Schedule {
-	// Upper bound from greedy to prune the DP — computed first because the
-	// greedy beam shares sc.pb.
-	greedy := sc.beam(g, 1)
-	bound := sc.scratch.PeakOnly(g, greedy)
+// exact runs the exponential DP over subsets (n <= 64 by construction)
+// and appends the order to dst.
+func (sc *Scheduler) exact(p *problem, dst Schedule) Schedule {
+	// The greedy order's peak bounds the DP; it is also the answer when
+	// the bound prunes every path.
+	start := len(dst)
+	dst, bound := sc.beam(p, 1, dst)
 
-	p := sc.problemFor(g)
 	n := len(p.ids)
 	memo := map[uint64]dpEntry{0: {}}
-	frontier := []uint64{0}
+	frontier, next := sc.layer[:0], sc.next[:0]
+	frontier = append(frontier, 0)
 	full := uint64(1)<<n - 1
 	for layer := 0; layer < n; layer++ {
-		next := make(map[uint64]bool)
+		next = next[:0]
 		for _, mask := range frontier {
 			e := memo[mask]
 			for v := 0; v < n; v++ {
@@ -257,54 +235,52 @@ func (sc *Scheduler) exact(g *graph.Graph) Schedule {
 				// Free predecessors fully consumed by nm (and only those:
 				// adding v can complete only its own predecessors).
 				for _, u := range p.preds[v] {
-					if p.sucMask[u] != 0 && p.sucMask[u]&nm == p.sucMask[u] {
+					if p.sucMask[u]&nm == p.sucMask[u] {
 						alive -= p.size[u]
 					}
 				}
 				old, ok := memo[nm]
 				if !ok || peak < old.peak || (peak == old.peak && alive < old.alive) {
 					memo[nm] = dpEntry{peak: peak, alive: alive, prev: mask, last: int8(v)}
-					next[nm] = true
+					next = append(next, nm)
 				}
 			}
 		}
-		frontier = frontier[:0]
-		for m := range next {
-			frontier = append(frontier, m)
-		}
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		// The next layer: every mask improved in this one, ascending.
+		slices.Sort(next)
+		frontier, next = slices.Compact(next), frontier
 	}
+	sc.layer, sc.next = frontier, next
 	if _, ok := memo[full]; !ok {
-		// Pruning removed every path (bound was already optimal): fall back.
-		return greedy
+		// Pruning removed every path (bound was already optimal).
+		return dst
 	}
-	order := make(Schedule, n)
+	order := dst[start:]
 	for mask := full; mask != 0; {
 		e := memo[mask]
-		order[popcount64(mask)-1] = p.ids[e.last]
+		order[bits.OnesCount64(mask)-1] = p.ids[e.last]
 		mask = e.prev
 	}
-	return order
+	return dst
 }
 
 // beamEntry is one scheduled-prefix state, living in a persistent slot.
 type beamEntry struct {
-	mask  []uint64
 	rem   []int32 // unscheduled distinct-consumer count per node
 	ready []int32 // unscheduled predecessor count per node
+	list  []int32 // ready, unscheduled nodes, ascending
 	order []int32
 	alive int64
 	peak  int64
+	slot  int // index in Scheduler.slots
 }
-
-func (b *beamEntry) has(v int) bool { return b.mask[v/64]&(1<<(v%64)) != 0 }
 
 // freedIf returns bytes released when v executes on top of e: v's
 // predecessors for which v is the last unscheduled consumer.
-func (e *beamEntry) freedIf(p *problem, v int) int64 {
+func (e *beamEntry) freedIf(p *problem, v int32) int64 {
 	var freed int64
 	for _, u := range p.preds[v] {
-		if p.hasCons[u] && e.rem[u] == 1 {
+		if e.rem[u] == 1 {
 			freed += p.size[u]
 		}
 	}
@@ -312,34 +288,35 @@ func (e *beamEntry) freedIf(p *problem, v int) int64 {
 }
 
 type beamCand struct {
-	from  *beamEntry
-	v     int
+	from  int32 // parent slot
+	v     int32
 	peak  int64
 	delta int64 // net alive change; lower is better
 }
 
-type beamCands []beamCand
-
-func (c beamCands) Len() int      { return len(c) }
-func (c beamCands) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c beamCands) Less(i, j int) bool {
-	if c[i].peak != c[j].peak {
-		return c[i].peak < c[j].peak
+// candCmp orders candidates by (peak, delta, v). Candidates from different
+// parents can compare equal, and which of them survives is then decided
+// by where pdqsort places equal elements — part of the schedule's
+// contract, so the selection below must stay a full slices.SortFunc.
+func candCmp(a, b beamCand) int {
+	if c := cmp.Compare(a.peak, b.peak); c != 0 {
+		return c
 	}
-	if c[i].delta != c[j].delta {
-		return c[i].delta < c[j].delta
+	if c := cmp.Compare(a.delta, b.delta); c != 0 {
+		return c
 	}
-	return c[i].v < c[j].v
+	return cmp.Compare(a.v, b.v)
 }
 
 // beam runs width-w beam search over the DP state space; w = 1 is the
-// greedy list scheduler used for very large partitions. Beam states live
+// greedy list scheduler used for very large partitions. It appends the
+// best order to dst and also returns that order's peak. Beam states live
 // in 2w persistent slots (parents in one half, children built in the
-// other), so a whole run performs no per-step allocation.
-func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
-	p := sc.problemFor(g)
+// other), so a whole run performs no per-step allocation. Each state
+// keeps its ready nodes in an ascending list, so the candidates of a
+// step come out in node order without scanning unready nodes.
+func (sc *Scheduler) beam(p *problem, w int, dst Schedule) (Schedule, int64) {
 	n := len(p.ids)
-	words := (n + 63) / 64
 	if cap(sc.slots) < 2*w {
 		sc.slots = make([]beamEntry, 2*w)
 	} else {
@@ -347,22 +324,22 @@ func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
 	}
 	for i := range sc.slots {
 		e := &sc.slots[i]
-		e.mask = ensureU64(e.mask, words)
-		e.rem = ensureI32(e.rem, n)
-		e.ready = ensureI32(e.ready, n)
+		e.slot = i
+		e.rem = ensure(e.rem, n)
+		e.ready = ensure(e.ready, n)
 		if cap(e.order) < n {
 			e.order = make([]int32, 0, n)
-		} else {
-			e.order = e.order[:0]
+			e.list = make([]int32, 0, n)
 		}
 	}
 	start := &sc.slots[0]
-	for i := 0; i < words; i++ {
-		start.mask[i] = 0
-	}
+	start.list = start.list[:0]
 	for v := 0; v < n; v++ {
 		start.rem[v] = int32(len(p.sucs[v]))
 		start.ready[v] = int32(len(p.preds[v]))
+		if start.ready[v] == 0 {
+			start.list = append(start.list, int32(v))
+		}
 	}
 	start.alive, start.peak = 0, 0
 	start.order = start.order[:0]
@@ -373,18 +350,28 @@ func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
 	for step := 0; step < n; step++ {
 		cands = cands[:0]
 		for _, e := range beam {
-			for v := 0; v < n; v++ {
-				if e.has(v) || e.ready[v] != 0 {
-					continue
-				}
+			from := int32(e.slot)
+			for _, v := range e.list {
 				peak := e.peak
 				if m := e.alive + p.size[v] + p.trans[v]; m > peak {
 					peak = m
 				}
-				cands = append(cands, beamCand{e, v, peak, p.size[v] - e.freedIf(p, v)})
+				cands = append(cands, beamCand{from, v, peak, p.size[v] - e.freedIf(p, v)})
 			}
 		}
-		sort.Sort(beamCands(cands))
+		if w == 1 {
+			// One parent, so every key is distinct and the sort's first
+			// candidate is the linear minimum.
+			best := 0
+			for k := 1; k < len(cands); k++ {
+				if candCmp(cands[k], cands[best]) < 0 {
+					best = k
+				}
+			}
+			cands[0] = cands[best]
+		} else {
+			slices.SortFunc(cands, candCmp)
+		}
 		if len(cands) > w {
 			cands = cands[:w]
 		}
@@ -393,21 +380,37 @@ func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
 		beam = beam[:0]
 		for k := range cands {
 			c := &cands[k]
-			e, ne := c.from, &next[k]
-			copy(ne.mask, e.mask)
+			e, ne := &sc.slots[c.from], &next[k]
 			copy(ne.rem, e.rem)
 			copy(ne.ready, e.ready)
 			ne.order = append(ne.order[:0], e.order...)
-			ne.order = append(ne.order, int32(c.v))
+			ne.order = append(ne.order, c.v)
 			ne.alive = e.alive + c.delta
 			ne.peak = c.peak
-			ne.mask[c.v/64] |= 1 << (c.v % 64)
 			for _, u := range p.preds[c.v] {
 				ne.rem[u]--
 			}
+			// The child's ready list is the parent's without c.v, merged
+			// with the consumers c.v makes ready (ascending, and never
+			// already in the parent's list).
+			list, i := ne.list[:0], 0
 			for _, s := range p.sucs[c.v] {
-				ne.ready[s]--
+				if ne.ready[s]--; ne.ready[s] != 0 {
+					continue
+				}
+				for ; i < len(e.list) && e.list[i] < s; i++ {
+					if e.list[i] != c.v {
+						list = append(list, e.list[i])
+					}
+				}
+				list = append(list, s)
 			}
+			for ; i < len(e.list); i++ {
+				if e.list[i] != c.v {
+					list = append(list, e.list[i])
+				}
+			}
+			ne.list = list
 			beam = append(beam, ne)
 		}
 	}
@@ -418,19 +421,9 @@ func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
 			best = e
 		}
 	}
-	order := make(Schedule, n)
-	for i, v := range best.order {
-		order[i] = p.ids[v]
+	for _, v := range best.order {
+		dst = append(dst, p.ids[v])
 	}
 	sc.blist = beam[:0]
-	return order
-}
-
-func popcount64(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return dst, best.peak
 }

@@ -1,6 +1,10 @@
 package sched
 
-import "magis/internal/graph"
+import (
+	"slices"
+
+	"magis/internal/graph"
+)
 
 // Incremental implements Algorithm 2: derive a schedule for gNew from the
 // previous schedule psiOld of gOld, rescheduling only intervals around the
@@ -26,9 +30,10 @@ func (sc *Scheduler) Incremental(gOld, gNew *graph.Graph, oldMutated []graph.Nod
 const clusterGap = 48
 
 // IncrementalR is Incremental with a caller-provided (cacheable)
-// reachability index over gOld; pass nil to compute one. Expanding one
-// M-State evaluates dozens of candidates against the same parent graph,
-// so callers that cache the index avoid the dominant O(V^2) term.
+// reachability index over gOld; pass nil to compute the narrow waists it
+// provides. Expanding one M-State evaluates dozens of candidates against
+// the same parent graph, so callers that cache the index avoid the
+// dominant O(V^2) term.
 //
 // The splice is best-effort by contract (it already falls back to full
 // scheduling on an invalid order); a panic while splicing — a transformed
@@ -54,8 +59,11 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 		full := sc.ScheduleGraph(gNew)
 		return full, len(full)
 	}
-	if reach == nil {
-		reach = graph.NewReachIndex(gOld)
+	var nw func(graph.NodeID) int
+	if reach != nil {
+		nw = reach.NW
+	} else {
+		nw = sc.narrowWaists(gOld)
 	}
 
 	// Cluster sites and extend each cluster to narrow waists.
@@ -72,8 +80,8 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 	}
 	ivs = append(ivs, cur)
 	for i := range ivs {
-		ivs[i].beg = extendBound(psiOld, reach, ivs[i].beg, -1)
-		ivs[i].end = extendBound(psiOld, reach, ivs[i].end-1, +1)
+		ivs[i].beg = extendBound(psiOld, nw, ivs[i].beg, -1)
+		ivs[i].end = extendBound(psiOld, nw, ivs[i].end-1, +1)
 	}
 	// Merge overlaps after extension.
 	merged := ivs[:1]
@@ -97,30 +105,27 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 		return -1
 	}
 	// Partition old positions into kept runs and per-interval member sets.
-	members := make([]graph.Set, len(merged))
-	for i := range members {
-		members[i] = make(graph.Set)
-	}
-	oldPos := make(map[graph.NodeID]int, len(psiOld))
+	members := make([][]graph.NodeID, len(merged))
+	oldPos := sc.positions(gOld, gNew)
 	for i, v := range psiOld {
-		oldPos[v] = i
+		oldPos[v] = int32(i)
 		if !gNew.Has(v) {
 			continue
 		}
 		if k := inInterval(i); k >= 0 {
-			members[k][v] = true
+			members[k] = append(members[k], v)
 		}
 	}
 	// Assign new nodes (absent from psiOld) to the interval holding one of
 	// their neighbours, defaulting to the last interval.
 	for _, v := range gNew.NodeIDs() {
-		if _, old := oldPos[v]; old {
+		if oldPos[v] >= 0 {
 			continue
 		}
 		k := len(merged) - 1
 		assign := func(u graph.NodeID) bool {
-			if p, ok := oldPos[u]; ok {
-				if i := inInterval(p); i >= 0 {
+			if p := oldPos[u]; p >= 0 {
+				if i := inInterval(int(p)); i >= 0 {
 					k = i
 					return true
 				}
@@ -141,7 +146,7 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 				}
 			}
 		}
-		members[k][v] = true
+		members[k] = append(members[k], v)
 	}
 
 	// Schedule each interval's member set and splice.
@@ -154,10 +159,11 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 				out = append(out, v)
 			}
 		}
-		for _, seg := range GraphPartition(gNew, members[k]) {
-			mid := sc.DpSchedule(gNew.Subgraph(seg))
-			out = append(out, mid...)
-			rescheduled += len(mid)
+		slices.Sort(members[k])
+		sc.vw.reset(gNew, slices.Compact(members[k]))
+		for _, seg := range sc.vw.partition() {
+			out = sc.solve(seg, out)
+			rescheduled += len(seg)
 		}
 		prevEnd = iv.end
 	}
@@ -176,15 +182,15 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 // extendBound walks the old schedule away from the mutated interval until
 // it finds a suitably narrow waist, limiting both walk length and waist
 // width with the paper's empirical constants (Algorithm 2 lines 2-6).
-func extendBound(psi Schedule, reach *graph.ReachIndex, i, d int) int {
+func extendBound(psi Schedule, nw func(graph.NodeID) int, i, d int) int {
 	wHat := int(^uint(0) >> 1) // +inf
 	l := 0
 	for i >= 0 && i < len(psi) {
-		nw := reach.NW(psi[i])
-		if !(l < 20 && (wHat > 10 || nw < 4) && nw < wHat) {
+		w := nw(psi[i])
+		if !(l < 20 && (wHat > 10 || w < 4) && w < wHat) {
 			break
 		}
-		wHat = nw
+		wHat = w
 		i += d
 		l++
 	}
@@ -195,4 +201,40 @@ func extendBound(psi Schedule, reach *graph.ReachIndex, i, d int) int {
 		return len(psi)
 	}
 	return i
+}
+
+// positions returns sc's NodeID-indexed position table, sized for both
+// graphs and filled with -1.
+func (sc *Scheduler) positions(gOld, gNew *graph.Graph) []int32 {
+	n := max(int(gOld.NextID()), int(gNew.NextID()))
+	sc.pos = ensure(sc.pos, n)
+	for i := range sc.pos {
+		sc.pos[i] = -1
+	}
+	return sc.pos
+}
+
+// narrowWaists returns the narrow-waist value of every node of g, read
+// from the reachability of a view over the whole graph (-1 for IDs not
+// in g).
+func (sc *Scheduler) narrowWaists(g *graph.Graph) func(graph.NodeID) int {
+	v := &sc.vw
+	v.reset(g, g.NodeIDs())
+	nw := make([]int32, g.NextID())
+	for i := range nw {
+		nw[i] = -1
+	}
+	n := int32(len(v.ids))
+	for _, cm := range v.components() {
+		v.reach(cm)
+		for _, r := range cm {
+			nw[v.ids[r]] = n - v.nAnc[r] - v.nDes[r] - 1
+		}
+	}
+	return func(id graph.NodeID) int {
+		if id < 0 || int(id) >= len(nw) {
+			return -1
+		}
+		return int(nw[id])
+	}
 }

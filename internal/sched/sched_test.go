@@ -201,7 +201,9 @@ func TestGraphPartitionChain(t *testing.T) {
 		prev = g.Add(sized("C", 1), prev)
 		all = append(all, prev)
 	}
-	segs := GraphPartition(g, graph.NewSet(all...))
+	var v view
+	v.reset(g, all)
+	segs := v.partition()
 	if len(segs) < 2 {
 		t.Fatalf("chain should partition, got %d segments", len(segs))
 	}

@@ -19,26 +19,34 @@ type Schedule []graph.NodeID
 func (s Schedule) Clone() Schedule { return append(Schedule(nil), s...) }
 
 // Validate checks that s is a permutation of g's nodes respecting
-// dependencies.
+// dependencies. A node scheduled before some of its producers is reported
+// with the smallest such producer.
 func (s Schedule) Validate(g *graph.Graph) error {
 	if len(s) != g.Len() {
 		return fmt.Errorf("sched: schedule has %d nodes, graph has %d", len(s), g.Len())
 	}
-	pos := make(map[graph.NodeID]int, len(s))
+	pos := make([]int32, g.NextID())
+	for i := range pos {
+		pos[i] = -1
+	}
 	for i, v := range s {
-		if _, dup := pos[v]; dup {
-			return fmt.Errorf("sched: node %d appears twice", v)
-		}
 		if !g.Has(v) {
 			return fmt.Errorf("sched: node %d not in graph", v)
 		}
-		pos[v] = i
+		if pos[v] >= 0 {
+			return fmt.Errorf("sched: node %d appears twice", v)
+		}
+		pos[v] = int32(i)
 	}
 	for _, v := range s {
-		for _, p := range g.Pre(v) {
-			if pos[p] > pos[v] {
-				return fmt.Errorf("sched: node %d scheduled before producer %d", v, p)
+		bad := graph.Invalid
+		for _, p := range g.Node(v).Ins {
+			if pos[p] > pos[v] && (bad == graph.Invalid || p < bad) {
+				bad = p
 			}
+		}
+		if bad != graph.Invalid {
+			return fmt.Errorf("sched: node %d scheduled before producer %d", v, bad)
 		}
 	}
 	return nil

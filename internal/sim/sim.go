@@ -8,7 +8,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"magis/internal/cost"
 	"magis/internal/graph"
@@ -282,11 +283,13 @@ func Run(g *graph.Graph, order sched.Schedule, cfg Config) *Result {
 		}
 		events = append(events, event{start[v], bytes}, event{freeAt, -bytes})
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
+	// Events with equal keys are equal values, so the sort's placement of
+	// ties cannot change the peak or the timeline.
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return events[i].delta < events[j].delta // frees before allocs at ties
+		return cmp.Compare(a.delta, b.delta) // frees before allocs at ties
 	})
 	var cur int64
 	for _, e := range events {

@@ -13,7 +13,8 @@
 # shared CI hardware, so the gate is for step-function regressions (a lost
 # fast path, an allocation leak), not single-digit noise. Benchmarks
 # present on only one side are reported but never fail the gate, so adding
-# a benchmark does not require refreshing the baseline in the same change.
+# a benchmark does not require refreshing the baseline in the same change;
+# a run that compares no benchmark at all fails, since it checked nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +62,7 @@ function getnum(line, key,    k, s) {
 }
 END {
     fails = 0
+    compared = 0
     printf "%-48s %14s %14s %9s\n", "benchmark", "baseline", "current", "delta"
     for (i = 0; i < n; i++) {
         name = order[i]
@@ -68,6 +70,7 @@ END {
             printf "%-48s %14s %14s %9s\n", name, "-", "(new)", "skip"
             continue
         }
+        compared++
         if (base_evals[name] != "" && cur_evals[name] != "") {
             d = 100 * (cur_evals[name] / base_evals[name] - 1)
             verdict = "ok"
@@ -86,6 +89,10 @@ END {
     for (name in in_base) {
         if (!in_cur[name])
             printf "%-48s %14s %14s %9s\n", name, "(baseline only)", "-", "skip"
+    }
+    if (!compared) {
+        printf "\nno benchmark is on both sides: nothing was compared\n"
+        exit 1
     }
     if (fails) {
         printf "\n%d regression(s) beyond +/-%d%%\n", fails, thr

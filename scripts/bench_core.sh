@@ -9,6 +9,10 @@
 # benchmark line, with every reported unit (ns/op, B/op, allocs/op, evals,
 # ...) as a metrics key — enough structure to diff across commits without
 # needing benchstat.
+#
+# The suite runs with -cpu 1: on a host with more than one CPU, go test
+# would otherwise append "-N" to every benchmark name, and a baseline
+# recorded on one host would share no names with a run on another.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,7 +21,7 @@ benchtime="${BENCHTIME:-1x}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' -bench 'BenchmarkCore_' -benchmem -benchtime "$benchtime" ./... | tee "$tmp"
+go test -run '^$' -bench 'BenchmarkCore_' -cpu 1 -benchmem -benchtime "$benchtime" ./... | tee "$tmp"
 
 awk '
 BEGIN { print "[" }
